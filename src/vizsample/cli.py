@@ -23,13 +23,33 @@ from .interchange import InterchangeConfig, run_interchange
 from .quality import evaluate
 
 
+class _UsageError(Exception):
+    """A flag value that conflicts with another flag or the input; exit code 2."""
+
+
 def _params_for(data, epsilon, cutoff):
-    if epsilon is not None:
-        return make_params(epsilon, cutoff)
-    p = default_epsilon(data)
-    if cutoff is not None:
-        return make_params(p.epsilon, cutoff)
-    return p
+    if epsilon is None:
+        epsilon = default_epsilon(data).epsilon
+    if cutoff is not None and cutoff < epsilon:
+        raise _UsageError(f"--cutoff {cutoff:g} is below epsilon {epsilon:g}")
+    return make_params(epsilon, cutoff)
+
+
+def _checked(kind, ok, what: str):
+    """argparse ``type=`` that parses with ``kind`` and rejects values failing ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_LENGTH = _checked(float, lambda v: 0 < v < float("inf"), "a finite real > 0")
 
 
 def _cmd_sample(args) -> int:
@@ -105,27 +125,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", required=True)
     sp.add_argument("--method", choices=["vas", "uniform", "stratified"], default="vas")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--epsilon", type=float, default=None, help="kernel bandwidth (default: bbox diagonal / 100)")
-    sp.add_argument("--passes", type=int, default=1)
+    sp.add_argument("--k", type=_COUNT, required=True)
+    sp.add_argument("--epsilon", type=_LENGTH, default=None, help="kernel bandwidth (default: bbox diagonal / 100)")
+    sp.add_argument("--passes", type=_COUNT, default=1)
     sp.add_argument("--until-converged", action="store_true")
     sp.add_argument("--time-budget-secs", type=float, default=None)
     sp.add_argument("--mode", choices=["noes", "es", "esloc"], default="esloc")
-    sp.add_argument("--cutoff", type=float, default=None,
+    sp.add_argument("--cutoff", type=_LENGTH, default=None,
                     help=f"truncation radius (default: {DEFAULT_CUTOFF_FACTOR:g} * epsilon)")
     sp.add_argument("--shuffle", choices=["on", "off"], default="on")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--density", action="store_true", help="attach nearest-neighbor density counts")
-    sp.add_argument("--grid", type=int, default=10, help="stratified grid cells per axis")
+    sp.add_argument("--grid", type=_COUNT, default=10, help="stratified grid cells per axis")
     sp.set_defaults(func=_cmd_sample)
 
     ep = sub.add_parser("evaluate", help="quality report of a sample against its dataset")
     ep.add_argument("--data", required=True)
     ep.add_argument("--sample", required=True)
-    ep.add_argument("--points", type=int, default=1000)
+    ep.add_argument("--points", type=_COUNT, default=1000)
     ep.add_argument("--stat", choices=["median", "mean"], default="median")
-    ep.add_argument("--domain-radius", type=float, default=None, help="default: 10 * epsilon")
-    ep.add_argument("--epsilon", type=float, default=None)
+    ep.add_argument("--domain-radius", type=_LENGTH, default=None, help="default: 10 * epsilon")
+    ep.add_argument("--epsilon", type=_LENGTH, default=None)
     ep.add_argument("--seed", type=int, default=0)
     ep.add_argument("--format", choices=["json", "text"], default="json")
     ep.set_defaults(func=_cmd_evaluate)
@@ -133,19 +153,19 @@ def build_parser() -> argparse.ArgumentParser:
     xp = sub.add_parser("exact", help="exhaustive optimum for tiny datasets")
     xp.add_argument("--input", required=True)
     xp.add_argument("--k", type=int, required=True)
-    xp.add_argument("--epsilon", type=float, default=None)
+    xp.add_argument("--epsilon", type=_LENGTH, default=None)
     xp.set_defaults(func=_cmd_exact)
 
     mp = sub.add_parser("export-mip", help="write the LP-format exact model")
     mp.add_argument("--input", required=True)
-    mp.add_argument("--k", type=int, required=True)
+    mp.add_argument("--k", type=_COUNT, required=True)
     mp.add_argument("--output", required=True)
-    mp.add_argument("--epsilon", type=float, default=None)
+    mp.add_argument("--epsilon", type=_LENGTH, default=None)
     mp.set_defaults(func=_cmd_export_mip)
 
     gp = sub.add_parser("gen", help="generate a seeded Gaussian-mixture dataset")
-    gp.add_argument("--n", type=int, required=True)
-    gp.add_argument("--blobs", type=int, default=1)
+    gp.add_argument("--n", type=_COUNT, required=True)
+    gp.add_argument("--blobs", type=_COUNT, default=1)
     gp.add_argument("--seed", type=int, default=0)
     gp.add_argument("--cov", type=float, default=1.0)
     gp.add_argument("--output", required=True)
@@ -155,9 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except (VizSampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

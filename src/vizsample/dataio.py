@@ -43,46 +43,30 @@ def _parse_float(token: str, lineno: int, col: str) -> float:
     return v
 
 
-def read_points_csv(path) -> np.ndarray:
-    """Read an ``x,y`` CSV into an (n, 2) array; rejects non-finite values."""
+def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows of an ``x,y`` or ``x,y,count`` CSV whose header is one of
+    ``headers``: the (n, 2) points and, for the count header, the counts.
+
+    Blank lines are skipped; malformed rows raise a line-numbered ``ParseError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise EmptyFileError(f"{path}: empty file")
     header = lines[0].strip()
-    if header != "x,y":
-        raise ParseError(1, f"expected header 'x,y', got {header!r}")
-    pts = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(lineno, f"expected 2 columns, got {len(parts)}")
-        pts.append((_parse_float(parts[0], lineno, "x"), _parse_float(parts[1], lineno, "y")))
-    if not pts:
-        raise EmptyFileError(f"{path}: no data rows")
-    return np.array(pts, dtype=float)
-
-
-def read_sample_csv(path) -> Sample:
-    """Read a sample CSV (``x,y`` or ``x,y,count``) back into a ``Sample``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise EmptyFileError(f"{path}: empty file")
-    header = lines[0].strip()
-    if header not in ("x,y", "x,y,count"):
-        raise ParseError(1, f"expected header 'x,y' or 'x,y,count', got {header!r}")
+    if header not in headers:
+        expected = " or ".join(repr(h) for h in headers)
+        raise ParseError(1, f"expected header {expected}, got {header!r}")
     with_counts = header == "x,y,count"
+    ncols = 3 if with_counts else 2
     pts = []
     counts = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != (3 if with_counts else 2):
-            raise ParseError(lineno, f"unexpected column count {len(parts)}")
+        if len(parts) != ncols:
+            raise ParseError(lineno, f"expected {ncols} columns, got {len(parts)}")
         pts.append((_parse_float(parts[0], lineno, "x"), _parse_float(parts[1], lineno, "y")))
         if with_counts:
             try:
@@ -91,12 +75,18 @@ def read_sample_csv(path) -> Sample:
                 raise ParseError(lineno, f"bad count value {parts[2]!r}") from None
     if not pts:
         raise EmptyFileError(f"{path}: no data rows")
-    return Sample(
-        points=np.array(pts, dtype=float),
-        source_indices=np.arange(len(pts)),
-        method="file",
-        counts=np.array(counts, dtype=np.int64) if with_counts else None,
-    )
+    return np.array(pts, dtype=float), (np.array(counts, dtype=np.int64) if with_counts else None)
+
+
+def read_points_csv(path) -> np.ndarray:
+    """Read an ``x,y`` CSV into an (n, 2) array; rejects non-finite values."""
+    return _read_csv(path, ("x,y",))[0]
+
+
+def read_sample_csv(path) -> Sample:
+    """Read a sample CSV (``x,y`` or ``x,y,count``) back into a ``Sample``."""
+    pts, counts = _read_csv(path, ("x,y", "x,y,count"))
+    return Sample(points=pts, source_indices=np.arange(len(pts)), method="file", counts=counts)
 
 
 def _fmt(v: float) -> str:
@@ -113,17 +103,15 @@ def write_points_csv(points: np.ndarray, path) -> None:
 
 def write_sample_csv(sample: Sample, path, with_density: bool = False) -> None:
     """Write a sample, optionally with the density ``count`` column."""
-    if with_density and sample.counts is None:
+    if not with_density:
+        write_points_csv(sample.points, path)
+        return
+    if sample.counts is None:
         raise EmptySampleError("with_density requested but the sample carries no counts")
     with open(path, "w", encoding="utf-8") as fh:
-        if with_density:
-            fh.write("x,y,count\n")
-            for (x, y), c in zip(sample.points, sample.counts):
-                fh.write(f"{_fmt(x)},{_fmt(y)},{int(c)}\n")
-        else:
-            fh.write("x,y\n")
-            for x, y in sample.points:
-                fh.write(f"{_fmt(x)},{_fmt(y)}\n")
+        fh.write("x,y,count\n")
+        for (x, y), c in zip(sample.points, sample.counts):
+            fh.write(f"{_fmt(x)},{_fmt(y)},{int(c)}\n")
 
 
 def gen_blobs(n: int, blobs: int, seed: int, cov: float = 1.0, spread: float = 10.0) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySampleError
+from .geometry import bounding_box
 from .spatial import GridIndex
 
 
@@ -21,8 +22,9 @@ def attach_counts(sample_points: np.ndarray, data: np.ndarray) -> np.ndarray:
     if k == 0:
         raise EmptySampleError("cannot attach counts to an empty sample")
 
-    lo = sample.min(axis=0)
-    hi = sample.max(axis=0)
+    # Sized from sample and data together, the grid (about sqrt(K) cells a
+    # side) bounds every ring walk; a tiny sample alone could need ~1e10.
+    lo, hi = bounding_box(np.vstack((sample, data)))
     diag = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
     cell = diag / max(1.0, np.sqrt(k)) if diag > 0 else 1.0
     index = GridIndex(cell_size=cell)

@@ -59,3 +59,7 @@ class ParseError(VizSampleError):
 
 class EmptyFileError(VizSampleError):
     """The input file contains no data rows."""
+
+
+class NonFiniteInputError(VizSampleError):
+    """Input coordinates contain NaN or infinity."""

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, NoEdgesError
-from .geometry import KernelParams
+from .geometry import KernelParams, gauss, sq_distances
 
 DEFAULT_SUBSET_BUDGET = 10**7
 
@@ -71,8 +71,7 @@ def weights_from_points(points: np.ndarray, params: KernelParams) -> WeightMatri
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 2:
         raise ValueError("need at least 2 points")
-    d2 = np.square(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    w = np.exp(-d2 / (2.0 * params.epsilon**2))
+    w = gauss(sq_distances(pts, pts), params.inv_2eps2)
     np.fill_diagonal(w, 0.0)
     return WeightMatrix(w)
 

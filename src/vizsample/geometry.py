@@ -9,6 +9,11 @@ Two kernel forms appear throughout the package:
 
 Both are symmetric, lie in (0, 1], and satisfy
 ``kappa_tilde = sqrt(kappa)`` for the same bandwidth.
+
+Every kernel value in the package is ``gauss(sq_distances(a, b), inv)``,
+with the exponent scale ``KernelParams.inv_eps2`` (kappa) or
+``KernelParams.inv_2eps2`` (kappa_tilde).  Pair sums over many points walk
+``row_blocks`` so that no block holds more than ``BLOCK_CELLS`` pair cells.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .errors import ZeroExtentError
 # zero by locality-accelerated paths.  kappa at 4*eps is ~1.12e-7 and
 # kappa_tilde is exp(-8) ~ 3.4e-4 per skipped pair.
 DEFAULT_CUTOFF_FACTOR = 4.0
+
+# Most pair cells (rows x columns) in one kernel block: ~16 MiB per float64 temporary.
+BLOCK_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -40,30 +48,59 @@ class KernelParams:
                 f"cutoff_radius must be finite and >= epsilon, got {self.cutoff_radius}"
             )
 
+    @property
+    def inv_eps2(self) -> float:
+        """Exponent scale 1/eps^2 of ``kappa``."""
+        return 1.0 / self.epsilon**2
 
-def _sqdist(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = a - b
-    return float(d[0] * d[0] + d[1] * d[1])
+    @property
+    def inv_2eps2(self) -> float:
+        """Exponent scale 1/(2 eps^2) of ``kappa_tilde``."""
+        return 1.0 / (2.0 * self.epsilon**2)
+
+
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances dx*dx + dy*dy, shape (m, n), between float arrays
+    ``a`` (m, 2) and ``b`` (n, 2); a single point (2,) drops its axis.  It
+    converts nothing: the optimizer calls it on every step."""
+    d2 = a[..., 0, None] - b[..., 0]
+    dy = a[..., 1, None] - b[..., 1]
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return d2
+
+
+def gauss(d2: np.ndarray, inv: float, cutoff2: float | None = None) -> np.ndarray:
+    """Gaussian kernel exp(-d2 * inv) of squared distances ``d2``; zero where
+    ``d2`` exceeds ``cutoff2``."""
+    w = np.exp(d2 * -inv)
+    if cutoff2 is not None:
+        w[d2 > cutoff2] = 0.0
+    return w
+
+
+def row_blocks(m: int, n: int, rows: int | None = None):
+    """Slices over the m rows of an (m, n) pair grid, ``rows`` at a time;
+    by default as many as fit in ``BLOCK_CELLS`` (at least one)."""
+    step = rows or max(1, BLOCK_CELLS // max(1, n))
+    for i0 in range(0, m, step):
+        yield slice(i0, min(i0 + step, m))
+
+
+def _one_pair(a, b, inv: float) -> float:
+    d2 = sq_distances(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return float(gauss(d2, inv)[0])
 
 
 def kappa(x, s, params: KernelParams) -> float:
     """Proximity exp(-d^2/eps^2) between plot location ``x`` and point ``s``."""
-    return float(np.exp(-_sqdist(x, s) / (params.epsilon**2)))
+    return _one_pair(x, s, params.inv_eps2)
 
 
 def kappa_tilde(a, b, params: KernelParams) -> float:
     """Pair weight exp(-d^2/(2 eps^2)) between two sample points."""
-    return float(np.exp(-_sqdist(a, b) / (2.0 * params.epsilon**2)))
-
-
-def kappa_tilde_many(p, pts: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Vectorized ``kappa_tilde`` between one point and a (n, 2) array."""
-    p = np.asarray(p, dtype=float)
-    pts = np.asarray(pts, dtype=float)
-    d2 = np.square(pts - p).sum(axis=1)
-    return np.exp(-d2 / (2.0 * params.epsilon**2))
+    return _one_pair(a, b, params.inv_2eps2)
 
 
 def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,11 +9,13 @@ replacement lowers the objective.
 
 Three execution modes:
 
-- ``noes``  -- naive reference path: responsibilities of the expanded set are
-  recomputed from scratch (O(K^2) per point).
+- ``noes``  -- reference path (the oracle for the other two): responsibilities
+  of the expanded set are recomputed from scratch (O(K^2) per point), then
+  the same eviction rule as ``es`` applies.
 - ``es``    -- incremental expand/shrink bookkeeping (O(K) per point).
 - ``esloc`` -- like ``es`` but pair weights beyond the cutoff radius are
-  treated as zero, with a grid index locating the affected members.
+  treated as zero, with a grid index over the member slots locating the
+  affected members.
 
 ``noes`` and ``es`` produce identical samples on identical streams; ``esloc``
 differs only by per-pair truncation error.
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Sample
-from .errors import EmptyDatasetError, KTooLargeError
-from .geometry import KernelParams
+from .errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
+from .geometry import KernelParams, gauss, row_blocks, sq_distances
 from .quality import surrogate_objective
 from .spatial import GridIndex
 
@@ -69,12 +71,30 @@ class RunStats:
     objective_trace: list[float] = field(default_factory=list)
 
 
+class _SlotGrid(GridIndex):
+    """The members' grid.  Its ids are slots of ``pts``, so ``within_radius``
+    tests distances in numpy, returns an array of slots, and leaves their
+    squared distances in ``d2`` for the kernel."""
+
+    def __init__(self, cell_size: float, pts: np.ndarray):
+        super().__init__(cell_size)
+        self._slot_pts = pts
+
+    def _in_ball(self, ids: list[int], center, r: float) -> np.ndarray:
+        slots = np.array(ids, dtype=np.intp)
+        d2 = sq_distances(center, self._slot_pts[slots])
+        keep = d2 <= r * r
+        self.d2 = d2[keep]
+        return slots[keep]
+
+
 class ResponsibilitySet:
     """The optimizer state: points, responsibilities, insertion order.
 
     Capacity is K+1; the set transiently holds K+1 entries between ``expand``
     and ``shrink``.  In ``esloc`` mode a grid index over the members is kept
-    in sync (ids are insertion sequence numbers).
+    in sync; its ids are slots, relabelled in place when a removal moves the
+    last slot, so the cell order of its members is their insertion order.
     """
 
     def __init__(self, k: int, params: KernelParams, mode: str = "es"):
@@ -91,13 +111,8 @@ class ResponsibilitySet:
         self.n = 0
         self._seq = 0
         self.last_removed_src = -1
-        self._inv2e2 = 1.0 / (2.0 * params.epsilon**2)
-        if mode == "esloc":
-            self.index: GridIndex | None = GridIndex(cell_size=params.cutoff_radius)
-            self._slot_of: dict[int, int] = {}
-        else:
-            self.index = None
-            self._slot_of = {}
+        self._inv = params.inv_2eps2
+        self.index = _SlotGrid(params.cutoff_radius, self.pts) if mode == "esloc" else None
         # contributions of the most recent expand: (slot array, weight array)
         self._last_slots: np.ndarray | None = None
         self._last_contrib: np.ndarray | None = None
@@ -125,19 +140,14 @@ class ResponsibilitySet:
     # -- kernel helpers --------------------------------------------------
 
     def _weights_to(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, kappa_tilde weights) of members interacting with ``p``."""
-        n = self.n
-        if n == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0)
-        if self.mode == "esloc":
-            ids = self.index.within_radius(p, self.params.cutoff_radius)
-            if not ids:
-                return np.empty(0, dtype=np.intp), np.empty(0)
-            slots = np.fromiter((self._slot_of[i] for i in ids), dtype=np.intp, count=len(ids))
-            d2 = np.square(self.pts[slots] - np.asarray(p, dtype=float)).sum(axis=1)
-            return slots, np.exp(-d2 * self._inv2e2)
-        d2 = np.square(self.pts[:n] - np.asarray(p, dtype=float)).sum(axis=1)
-        return np.arange(n, dtype=np.intp), np.exp(-d2 * self._inv2e2)
+        """(slots, kappa_tilde weights) of the members interacting with the
+        float point ``p``: all of them, or in ``esloc`` those within the
+        cutoff radius, in ``within_radius`` order."""
+        if self.mode != "esloc":
+            d2 = sq_distances(p, self.pts[: self.n])
+            return np.arange(self.n, dtype=np.intp), gauss(d2, self._inv)
+        slots = self.index.within_radius(p, self.params.cutoff_radius)
+        return slots, gauss(self.index.d2, self._inv)
 
     # -- mutations -------------------------------------------------------
 
@@ -156,8 +166,7 @@ class ResponsibilitySet:
         self.order[slot] = self._seq
         self.src[slot] = source_index
         if self.index is not None:
-            self.index.insert(self._seq, p)
-            self._slot_of[self._seq] = slot
+            self.index.insert(slot, p)
         self._seq += 1
         self.n += 1
         self._last_slots = slots
@@ -198,56 +207,26 @@ class ResponsibilitySet:
         last = self.n - 1
         self.last_removed_src = int(self.src[j])
         if self.index is not None:
-            seq = int(self.order[j])
-            self.index.remove(seq)
-            del self._slot_of[seq]
+            self.index.remove(j)
         if j != last:
             self.pts[j] = self.pts[last]
             self.rsp[j] = self.rsp[last]
             self.order[j] = self.order[last]
             self.src[j] = self.src[last]
             if self.index is not None:
-                self._slot_of[int(self.order[j])] = j
+                self.index.relabel(last, j)
         self.n = last
 
     def step(self, point, source_index: int = -1) -> bool:
         """Process one streamed point; returns True when it replaced a member."""
         if self.n != self.k:
             raise ValueError("step requires a set at rest (|R| = K)")
-        if self.mode == "noes":
-            return self._step_naive(point, source_index)
         self.expand(point, source_index)
+        if self.mode == "noes":
+            self.recompute()
         return self.shrink()
 
-    def _step_naive(self, point, source_index: int) -> bool:
-        # Reference path: append, recompute every responsibility from pair
-        # sums, then evict with the same tie rule as shrink().
-        slot = self.n
-        self.pts[slot] = np.asarray(point, dtype=float)
-        self.order[slot] = self._seq
-        self.src[slot] = source_index
-        self._seq += 1
-        self.n += 1
-        n = self.n
-        W = self._pair_weights(self.pts[:n])
-        self.rsp[:n] = W.sum(axis=1)
-        rsp = self.rsp[:n]
-        cand = np.flatnonzero(rsp == rsp.max())
-        j = int(cand[np.argmax(self.order[cand])])
-        self.rsp[:n] -= W[j]
-        replaced = j != n - 1
-        self._remove_slot(j)
-        return replaced
-
-    def _pair_weights(self, pts: np.ndarray) -> np.ndarray:
-        d2 = np.square(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-        W = np.exp(-d2 * self._inv2e2)
-        np.fill_diagonal(W, 0.0)
-        if self.mode == "esloc":
-            W[d2 > self.params.cutoff_radius**2] = 0.0
-        return W
-
-    def recompute(self, chunk: int = 512) -> float:
+    def recompute(self) -> float:
         """Recompute responsibilities from scratch (mode-consistent truncation);
         returns the max relative drift of the stored values."""
         n = self.n
@@ -255,18 +234,14 @@ class ResponsibilitySet:
             return 0.0
         pts = self.pts[:n]
         cutoff2 = self.params.cutoff_radius**2 if self.mode == "esloc" else None
-        fresh = np.zeros(n)
-        for i0 in range(0, n, chunk):
-            i1 = min(i0 + chunk, n)
-            d2 = np.square(pts[i0:i1, None, :] - pts[None, :, :]).sum(axis=2)
-            w = np.exp(-d2 * self._inv2e2)
-            for r in range(i1 - i0):
-                w[r, i0 + r] = 0.0
-            if cutoff2 is not None:
-                w[d2 > cutoff2] = 0.0
-            fresh[i0:i1] = w.sum(axis=1)
+        fresh = np.empty(n)
+        for s in row_blocks(n, n):
+            w = gauss(sq_distances(pts[s], pts), self._inv, cutoff2)
+            rows = np.arange(s.stop - s.start)
+            w[rows, rows + s.start] = 0.0
+            fresh[s] = w.sum(axis=1)
         scale = np.maximum(np.abs(fresh), 1e-300)
-        drift = float(np.max(np.abs(self.rsp[:n] - fresh) / scale)) if n else 0.0
+        drift = float(np.max(np.abs(self.rsp[:n] - fresh) / scale))
         self.rsp[:n] = fresh
         return drift
 
@@ -285,6 +260,8 @@ def run_interchange(
     n = len(data)
     if n == 0:
         raise EmptyDatasetError("cannot sample an empty dataset")
+    if not np.isfinite(data).all():
+        raise NonFiniteInputError("dataset contains NaN or infinite coordinates")
     if cfg.k > n:
         raise KTooLargeError(f"k={cfg.k} exceeds dataset size {n}")
 

@@ -10,18 +10,20 @@
   its closed-form gains, used as algebraic diagnostics.
 - ``bound_check``: the normalized 1/4 additive bound between an approximate
   objective and the optimum.
+
+Every kernel sum here is ``geometry.gauss`` over ``geometry.row_blocks``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DomainRejectionError, EmptySampleError
-from .geometry import KernelParams, bounding_box, kappa_tilde_many
+from .geometry import KernelParams, bounding_box, gauss, row_blocks, sq_distances
 from .spatial import GridIndex
 
 _ACCEPT_FLOOR = 1e-6
@@ -37,56 +39,29 @@ class QualityReport:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "surrogate_objective": self.surrogate_objective,
-                "mc_loss_mean": self.mc_loss_mean,
-                "mc_loss_median": self.mc_loss_median,
-                "log_loss_ratio": self.log_loss_ratio,
-                "n_mc_points": self.n_mc_points,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def to_text(self) -> str:
-        return "\n".join(
-            [
-                f"surrogate_objective={self.surrogate_objective!r}",
-                f"mc_loss_mean={self.mc_loss_mean!r}",
-                f"mc_loss_median={self.mc_loss_median!r}",
-                f"log_loss_ratio={self.log_loss_ratio!r}",
-                f"n_mc_points={self.n_mc_points}",
-                f"seed={self.seed}",
-            ]
-        )
+        return "\n".join(f"{k}={v!r}" for k, v in asdict(self).items())
 
 
-def surrogate_objective(points: np.ndarray, params: KernelParams, chunk: int = 512) -> float:
+def _pair_blocks(pts: np.ndarray, params: KernelParams, rows: int | None = None):
+    """kappa_tilde blocks of rows i against columns j >= i; the unordered
+    pairs of a block are its strict upper triangle ``np.triu(block, 1)``."""
+    for s in row_blocks(len(pts), len(pts), rows):
+        yield gauss(sq_distances(pts[s], pts[s.start :]), params.inv_2eps2)
+
+
+def surrogate_objective(points: np.ndarray, params: KernelParams, chunk: int | None = None) -> float:
     """Sum of kappa_tilde over unordered pairs; 0 for a singleton.
 
-    Chunked so large samples do not materialize the full pair matrix.
+    Walks ``chunk`` rows at a time (default: the ``BLOCK_CELLS`` budget) so
+    large samples do not materialize the full pair matrix.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(pts)
-    if n < 1:
+    if len(pts) < 1:
         raise EmptySampleError("objective of an empty sample")
-    if n == 1:
-        return 0.0
-    return _pair_sum(pts, 1.0 / (2.0 * params.epsilon**2), chunk)
-
-
-def _pair_sum(pts: np.ndarray, inv: float, chunk: int) -> float:
-    n = len(pts)
-    total = 0.0
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        block = pts[i0:i1]
-        later = pts[i0:]
-        d2 = np.square(block[:, None, :] - later[None, :, :]).sum(axis=2)
-        w = np.exp(-d2 * inv)
-        for r in range(i1 - i0):
-            total += float(w[r, r + 1 :].sum())
-    return total
+    return float(sum(np.triu(w, 1).sum() for w in _pair_blocks(pts, params, chunk)))
 
 
 def point_loss(x, sample_points: np.ndarray, params: KernelParams) -> float:
@@ -100,16 +75,12 @@ def point_losses(xs: np.ndarray, sample_points: np.ndarray, params: KernelParams
     if len(S) < 1:
         raise EmptySampleError("point loss against an empty sample")
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-    inv = 1.0 / params.epsilon**2
     out = np.empty(len(xs))
-    chunk = max(1, 2_000_000 // max(1, len(S)))
-    for i0 in range(0, len(xs), chunk):
-        block = xs[i0 : i0 + chunk]
-        d2 = np.square(block[:, None, :] - S[None, :, :]).sum(axis=2)
-        denom = np.exp(-d2 * inv).sum(axis=1)
+    for s in row_blocks(len(xs), len(S)):
+        denom = gauss(sq_distances(xs[s], S), params.inv_eps2).sum(axis=1)
         # a vanishing denominator maps to the +inf loss sentinel
         with np.errstate(divide="ignore", over="ignore"):
-            out[i0 : i0 + chunk] = 1.0 / denom
+            out[s] = 1.0 / denom
     return out
 
 
@@ -153,6 +124,18 @@ def _stat(losses: np.ndarray, stat: str) -> float:
     raise ValueError(f"unknown statistic {stat!r}")
 
 
+def _mc_points(data, params: KernelParams, n_points: int, seed: int, domain_radius) -> np.ndarray:
+    """The seeded Monte-Carlo plot locations; ``domain_radius`` defaults to 10 eps."""
+    if domain_radius is None:
+        domain_radius = 10.0 * params.epsilon
+    return draw_domain_points(data, n_points, seed, domain_radius)
+
+
+def _log_ratio(losses: np.ndarray, xs: np.ndarray, data, params: KernelParams, stat: str) -> float:
+    """log10 of the sample's loss statistic over the full dataset's on ``xs``."""
+    return math.log10(_stat(losses, stat) / _stat(point_losses(xs, data, params), stat))
+
+
 def mc_loss(
     sample_points: np.ndarray,
     data: np.ndarray,
@@ -163,9 +146,7 @@ def mc_loss(
     stat: str = "median",
 ) -> float:
     """Monte-Carlo visualization loss of a sample over the data domain."""
-    if domain_radius is None:
-        domain_radius = 10.0 * params.epsilon
-    xs = draw_domain_points(data, n_points, seed, domain_radius)
+    xs = _mc_points(data, params, n_points, seed, domain_radius)
     return _stat(point_losses(xs, sample_points, params), stat)
 
 
@@ -179,12 +160,8 @@ def log_loss_ratio(
     stat: str = "median",
 ) -> float:
     """log10(loss(sample)/loss(data)) on one shared Monte-Carlo point set."""
-    if domain_radius is None:
-        domain_radius = 10.0 * params.epsilon
-    xs = draw_domain_points(data, n_points, seed, domain_radius)
-    num = _stat(point_losses(xs, sample_points, params), stat)
-    den = _stat(point_losses(xs, data, params), stat)
-    return math.log10(num / den)
+    xs = _mc_points(data, params, n_points, seed, domain_radius)
+    return _log_ratio(point_losses(xs, sample_points, params), xs, data, params, stat)
 
 
 def evaluate(
@@ -197,18 +174,13 @@ def evaluate(
     stat: str = "median",
 ) -> QualityReport:
     """Full quality report; numerator and denominator share one MC point set."""
-    if domain_radius is None:
-        domain_radius = 10.0 * params.epsilon
-    xs = draw_domain_points(data, n_points, seed, domain_radius)
+    xs = _mc_points(data, params, n_points, seed, domain_radius)
     losses = point_losses(xs, sample_points, params)
-    base = point_losses(xs, data, params)
-    num = _stat(losses, stat)
-    den = _stat(base, stat)
     return QualityReport(
         surrogate_objective=surrogate_objective(sample_points, params),
         mc_loss_mean=float(np.mean(losses)),
         mc_loss_median=float(np.median(losses)),
-        log_loss_ratio=math.log10(num / den),
+        log_loss_ratio=_log_ratio(losses, xs, data, params, stat),
         n_mc_points=n_points,
         seed=seed,
     )
@@ -218,21 +190,14 @@ def submodular_f(points: np.ndarray, params: KernelParams) -> float:
     """Pair sum of (1 - kappa_tilde); complements the surrogate objective:
     f(S) + objective(S) = |S|(|S|-1)/2."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(pts)
-    if n < 2:
-        return 0.0
-    total = 0.0
-    for i in range(n - 1):
-        total += float((1.0 - kappa_tilde_many(pts[i], pts[i + 1 :], params)).sum())
-    return total
+    return float(sum(np.triu(1.0 - w, 1).sum() for w in _pair_blocks(pts, params)))
 
 
 def marginal_gain(points: np.ndarray, x, params: KernelParams) -> float:
     """Closed-form f(S + {x}) - f(S) = sum_i (1 - kappa_tilde(x, s_i))."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) == 0:
-        return 0.0
-    return float((1.0 - kappa_tilde_many(x, pts, params)).sum())
+    w = gauss(sq_distances(np.asarray(x, dtype=float), pts), params.inv_2eps2)
+    return float((1.0 - w).sum())
 
 
 def bound_check(approx_objective: float, opt_objective: float, k: int) -> tuple[float, float, bool]:

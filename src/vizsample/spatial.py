@@ -1,12 +1,13 @@
 """Dynamic 2-D point index backed by a uniform grid of buckets.
 
-Supports the two queries the rest of the package needs: closed-ball radius
-queries (truncated pair-weight updates) and nearest-neighbor queries (the
-density-embedding pass).  Correctness is defined against a brute-force linear
-scan; see the test suite.
+Supports the queries the rest of the package needs: closed-ball radius
+queries (truncated pair-weight updates), membership queries (the Monte-Carlo
+domain test) and nearest-neighbor queries (the density-embedding pass).
+Correctness is defined against a brute-force linear scan; see the test suite.
 
 Semantics fixed here:
-- ``within_radius`` uses a closed ball (distance <= r).
+- ``within_radius`` uses a closed ball (distance <= r) and lists ids cell by
+  cell, in insertion order within a cell; ``relabel`` keeps that place.
 - nearest-neighbor ties are broken by the smallest id.
 - single writer; concurrent readers are safe between mutations.
 """
@@ -14,8 +15,6 @@ Semantics fixed here:
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DuplicateIdError, EmptyIndexError, UnknownIdError
 
@@ -30,12 +29,6 @@ class GridIndex:
         self._pts: dict[int, tuple[float, float]] = {}
         self._cells: dict[tuple[int, int], list[int]] = {}
         self._cell_of: dict[int, tuple[int, int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._pts)
-
-    def __contains__(self, id_: int) -> bool:
-        return id_ in self._pts
 
     def _cell(self, x: float, y: float) -> tuple[int, int]:
         return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
@@ -59,41 +52,57 @@ class GridIndex:
         if not bucket:
             del self._cells[cell]
 
+    def relabel(self, old: int, new: int) -> None:
+        """Give point ``old`` the id ``new``; it keeps its place in its cell,
+        and so in the order of query results."""
+        if old not in self._pts:
+            raise UnknownIdError(f"id {old} not present")
+        if new in self._pts:
+            raise DuplicateIdError(f"id {new} already present")
+        cell = self._cell_of.pop(old)
+        self._cell_of[new] = cell
+        self._pts[new] = self._pts.pop(old)
+        bucket = self._cells[cell]
+        bucket[bucket.index(old)] = new
+
+    def _candidates(self, center, r: float) -> list[int]:
+        """Ids in the cells that the square of half-side ``r`` around
+        ``center`` overlaps, by x and then y."""
+        cx, cy = float(center[0]), float(center[1])
+        cs = self.cell_size
+        cells = self._cells
+        out: list[int] = []
+        for ix in range(math.floor((cx - r) / cs), math.floor((cx + r) / cs) + 1):
+            for iy in range(math.floor((cy - r) / cs), math.floor((cy + r) / cs) + 1):
+                bucket = cells.get((ix, iy))
+                if bucket:
+                    out += bucket
+        return out
+
     def within_radius(self, center, r: float) -> list[int]:
         """Ids of all points with Euclidean distance <= r from ``center``."""
         if r < 0:
             raise ValueError("radius must be non-negative")
-        if not self._pts:
-            return []
+        return self._in_ball(self._candidates(center, r), center, r)
+
+    def _in_ball(self, ids: list[int], center, r: float) -> list[int]:
+        """The ``ids`` at distance <= r from ``center``, in their order."""
         cx, cy = float(center[0]), float(center[1])
-        cs = self.cell_size
-        ix0 = math.floor((cx - r) / cs)
-        ix1 = math.floor((cx + r) / cs)
-        iy0 = math.floor((cy - r) / cs)
-        iy1 = math.floor((cy + r) / cs)
         r2 = r * r
-        out: list[int] = []
         pts = self._pts
-        cells = self._cells
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                bucket = cells.get((ix, iy))
-                if not bucket:
-                    continue
-                for id_ in bucket:
-                    px, py = pts[id_]
-                    dx = px - cx
-                    dy = py - cy
-                    if dx * dx + dy * dy <= r2:
-                        out.append(id_)
+        out: list[int] = []
+        for id_ in ids:
+            px, py = pts[id_]
+            dx = px - cx
+            dy = py - cy
+            if dx * dx + dy * dy <= r2:
+                out.append(id_)
         return out
 
     def any_within_radius(self, center, r: float) -> bool:
         """Membership test with early exit; same closed-ball semantics."""
         if r < 0:
             raise ValueError("radius must be non-negative")
-        if not self._pts:
-            return False
         cx, cy = float(center[0]), float(center[1])
         cs = self.cell_size
         r2 = r * r
@@ -145,13 +154,6 @@ class GridIndex:
                         best_d2 = d2
                         best_id = id_
         return best_id
-
-    def points_array(self, ids) -> np.ndarray:
-        """Coordinates of ``ids`` as an (m, 2) array, in the given order."""
-        return np.array([self._pts[i] for i in ids], dtype=float).reshape(len(ids), 2)
-
-    def ids(self) -> list[int]:
-        return list(self._pts)
 
 
 def _ring_cells(center: tuple[int, int], ring: int):

@@ -148,3 +148,30 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as ei:
         main(["no-such-command"])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--k", "0"],
+        ["sample", "--k", "-3", "--method", "uniform"],
+        ["sample", "--k", "3", "--epsilon", "-1"],
+        ["sample", "--k", "3", "--passes", "0"],
+        ["sample", "--k", "3", "--method", "stratified", "--grid", "0"],
+        ["sample", "--k", "3", "--epsilon", "1", "--cutoff", "0.5"],
+        ["sample", "--k", "3", "--cutoff", "1e-9"],  # below the derived epsilon
+        ["evaluate", "--points", "0"],
+        ["evaluate", "--epsilon", "0"],
+        ["evaluate", "--domain-radius", "-1"],
+    ],
+)
+def test_out_of_range_flag_exits_2_without_traceback(argv, dataset, tmp_path, capsys):
+    files = (
+        ["--input", str(dataset), "--output", str(tmp_path / "o.csv")]
+        if argv[0] == "sample"
+        else ["--data", str(dataset), "--sample", str(dataset)]
+    )
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, *files])
+    assert ei.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -66,3 +66,13 @@ def test_identical_sample_points():
     sample = np.array([[1.0, 1.0], [1.0, 1.0]])
     data = np.random.default_rng(17).uniform(0, 2, size=(30, 2))
     assert attach_counts(sample, data).tolist() == [30, 0]
+
+
+def test_tiny_sample_extent_with_distant_data_point():
+    # a grid sized from the sample's extent alone (1e-9 here) would walk
+    # ~1e10 empty rings toward (10, 10)
+    sample = np.array([[0.0, 0.0], [1e-9, 0.0]])
+    data = np.array([[10.0, 10.0]])
+    counts = attach_counts(sample, data)
+    assert counts.tolist() == [0, 1]
+    assert np.array_equal(counts, nearest_oracle(sample, data))

@@ -5,8 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vizsample import geometry
 from vizsample.errors import ZeroExtentError
-from vizsample.geometry import KernelParams, default_epsilon, kappa, kappa_tilde, make_params
+from vizsample.geometry import (
+    KernelParams,
+    default_epsilon,
+    gauss,
+    kappa,
+    kappa_tilde,
+    make_params,
+    row_blocks,
+    sq_distances,
+)
+from vizsample.interchange import ResponsibilitySet
+from vizsample.quality import point_losses, surrogate_objective
 
 UNIT = make_params(1.0)
 
@@ -86,3 +98,55 @@ def test_kernel_params_validation():
         KernelParams(epsilon=1.0, cutoff_radius=0.5)
     with pytest.raises(ValueError):
         KernelParams(epsilon=float("nan"), cutoff_radius=1.0)
+
+
+@given(
+    st.lists(points, min_size=1, max_size=6),
+    st.lists(points, min_size=0, max_size=6),
+    st.floats(min_value=0.5, max_value=50),
+    st.one_of(st.none(), st.floats(min_value=0, max_value=100)),
+)
+def test_gauss_matches_scalar_double_loop(a, b, eps, cutoff):
+    inv = 1.0 / (2.0 * eps**2)
+    cutoff2 = None if cutoff is None else cutoff**2
+    want = np.zeros((len(a), len(b)))
+    for i, (ax, ay) in enumerate(a):
+        for j, (bx, by) in enumerate(b):
+            dx, dy = ax - bx, ay - by
+            d2 = dx * dx + dy * dy
+            if cutoff2 is None or d2 <= cutoff2:
+                want[i, j] = math.exp(-d2 * inv)
+    A = np.array(a, dtype=float)
+    B = np.array(b, dtype=float).reshape(-1, 2)
+    got = gauss(sq_distances(A, B), inv, cutoff2)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    # a single point drops its row axis and gives the same row
+    assert np.array_equal(gauss(sq_distances(A[0], B), inv, cutoff2), got[0])
+
+
+def _pair_results(pts, xs, params):
+    rsp = {}
+    for mode in ("es", "esloc"):
+        state = ResponsibilitySet(len(pts), params, mode)
+        for p in pts:
+            state.expand(p)
+        state.recompute()
+        rsp[mode] = state.rsp[: state.n].copy()
+    return rsp, point_losses(xs, pts, params), surrogate_objective(pts, params)
+
+
+@pytest.mark.parametrize("cells", [1, 50, 100])
+def test_block_budget_does_not_change_pair_sums(monkeypatch, cells):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0, 3, size=(23, 2))
+    xs = rng.uniform(0, 3, size=(17, 2))
+    params = make_params(0.5, 1.0)
+    dense_rsp, dense_loss, dense_obj = _pair_results(pts, xs, params)
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", cells)
+    assert len(list(row_blocks(len(pts), len(pts)))) > 1
+    rsp, loss, obj = _pair_results(pts, xs, params)
+    for mode in rsp:
+        assert np.array_equal(rsp[mode], dense_rsp[mode])
+    assert np.array_equal(loss, dense_loss)
+    assert obj == pytest.approx(dense_obj, rel=1e-12)

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from vizsample.errors import EmptyDatasetError, KTooLargeError
+from vizsample.errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
 from vizsample.geometry import make_params
 from vizsample.interchange import InterchangeConfig, ResponsibilitySet, run_interchange
 from vizsample.quality import surrogate_objective
@@ -172,6 +172,15 @@ def test_run_rejects_bad_inputs():
         run_interchange(np.zeros((2, 2)), InterchangeConfig(k=3), UNIT)
 
 
+@pytest.mark.parametrize("mode", ["es", "esloc"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_rejects_non_finite_row(mode, bad):
+    data = np.random.default_rng(3).uniform(0, 4, size=(30, 2))
+    data[17, 1] = bad
+    with pytest.raises(NonFiniteInputError):
+        run_interchange(data, InterchangeConfig(k=5, mode=mode), UNIT)
+
+
 def test_objective_monotone_along_trace():
     rng = np.random.default_rng(17)
     params = make_params(0.3)
@@ -190,6 +199,27 @@ def test_responsibility_recompute_drift_small():
     cfg = InterchangeConfig(k=12, seed=2, mode="es", passes=4, recompute_interval=13)
     _, stats = run_interchange(data, cfg, params)
     assert stats.max_drift < 1e-9 * cfg.k
+
+
+def test_esloc_neighbours_match_linear_scan():
+    rng = np.random.default_rng(29)
+    data = rng.uniform(0, 6, size=(400, 2))
+    params = make_params(0.3)
+    state = ResponsibilitySet(40, params, "esloc")
+    for i, p in enumerate(data[:40]):
+        state.expand(p, i)
+    for i, p in enumerate(data[40:], start=40):
+        state.step(p, i)
+    r2 = params.cutoff_radius * params.cutoff_radius
+    for q in rng.uniform(-1, 7, size=(50, 2)):
+        slots, w = state._weights_to(q)
+        d2 = np.square(state.points - q).sum(axis=1)
+        assert sorted(slots.tolist()) == np.flatnonzero(d2 <= r2).tolist()
+        np.testing.assert_allclose(w, np.exp(-d2[slots] / (2 * params.epsilon**2)), rtol=1e-14)
+    # closed ball: a member exactly at the cutoff radius (1.0 here) interacts
+    edge = ResponsibilitySet(2, make_params(0.25), "esloc")
+    edge.expand((0.0, 0.0))
+    assert edge._weights_to(np.array([1.0, 0.0]))[0].tolist() == [0]
 
 
 def test_esloc_close_to_es_within_truncation_bound():

@@ -45,6 +45,20 @@ def test_remove_unknown_id():
     idx = GridIndex(1.0)
     with pytest.raises(UnknownIdError):
         idx.remove(99)
+    with pytest.raises(UnknownIdError):
+        idx.relabel(99, 1)
+    idx.insert(1, (0, 0))
+    idx.insert(2, (0, 0))
+    with pytest.raises(DuplicateIdError):
+        idx.relabel(1, 2)
+
+
+def test_relabel_keeps_query_order():
+    idx = GridIndex(1.0)
+    for i in (1, 2, 3):
+        idx.insert(i, (0.5, 0.1 * i))
+    idx.relabel(1, 7)
+    assert idx.within_radius((0.5, 0.2), 0.15) == [7, 2, 3]
 
 
 def test_within_radius_empty_and_boundary():
@@ -86,10 +100,15 @@ def test_random_workload_matches_linear_scan(cell):
             idx.insert(next_id, p)
             live[next_id] = p
             next_id += 1
-        elif op < 0.75:
+        elif op < 0.65:
             victim = int(rng.choice(list(live)))
             idx.remove(victim)
             del live[victim]
+        elif op < 0.75:
+            old = int(rng.choice(list(live)))
+            idx.relabel(old, next_id)
+            live[next_id] = live.pop(old)
+            next_id += 1
         else:
             q = tuple(rng.uniform(-6, 6, size=2))
             r = float(rng.uniform(0, 4))
