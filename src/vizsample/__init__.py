@@ -25,12 +25,10 @@ from .quality import (
     submodular_f,
     surrogate_objective,
 )
-from .spatial import GridIndex
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridIndex",
     "InterchangeConfig",
     "KernelParams",
     "QualityReport",

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=_LENGTH, default=None, help="kernel bandwidth (default: bbox diagonal / 100)")
     sp.add_argument("--passes", type=_COUNT, default=1)
     sp.add_argument("--until-converged", action="store_true")
-    sp.add_argument("--time-budget-secs", type=float, default=None)
+    sp.add_argument("--time-budget-secs", type=_LENGTH, default=None)
     sp.add_argument("--mode", choices=["noes", "es", "esloc"], default="esloc")
     sp.add_argument("--cutoff", type=_LENGTH, default=None,
                     help=f"truncation radius (default: {DEFAULT_CUTOFF_FACTOR:g} * epsilon)")
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     xp = sub.add_parser("exact", help="exhaustive optimum for tiny datasets")
     xp.add_argument("--input", required=True)
-    xp.add_argument("--k", type=int, required=True)
+    xp.add_argument("--k", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), required=True)
     xp.add_argument("--epsilon", type=_LENGTH, default=None)
     xp.set_defaults(func=_cmd_exact)
 
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--n", type=_COUNT, required=True)
     gp.add_argument("--blobs", type=_COUNT, default=1)
     gp.add_argument("--seed", type=int, default=0)
-    gp.add_argument("--cov", type=float, default=1.0)
+    gp.add_argument("--cov", type=_checked(float, lambda v: 0 <= v < float("inf"), "a finite real >= 0"), default=1.0)
     gp.add_argument("--output", required=True)
     gp.set_defaults(func=_cmd_gen)
 

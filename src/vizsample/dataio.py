@@ -124,6 +124,8 @@ def gen_blobs(n: int, blobs: int, seed: int, cov: float = 1.0, spread: float = 1
         raise ValueError("n must be >= 1")
     if blobs < 1:
         raise ValueError("blobs must be >= 1")
+    if not (0 <= cov < np.inf):
+        raise ValueError(f"cov must be a finite real >= 0, got {cov}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, spread, size=(blobs, 2))
     sizes = [n // blobs + (1 if i < n % blobs else 0) for i in range(blobs)]

@@ -16,7 +16,7 @@ from .spatial import GridIndex
 
 def attach_counts(sample_points: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Count, for each sample point, the dataset points it is nearest to."""
-    sample = np.asarray(sample_points, dtype=float).reshape(-1, 2)
+    sample = np.ascontiguousarray(sample_points, dtype=float).reshape(-1, 2)
     data = np.asarray(data, dtype=float).reshape(-1, 2)
     k = len(sample)
     if k == 0:
@@ -27,9 +27,9 @@ def attach_counts(sample_points: np.ndarray, data: np.ndarray) -> np.ndarray:
     lo, hi = bounding_box(np.vstack((sample, data)))
     diag = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
     cell = diag / max(1.0, np.sqrt(k)) if diag > 0 else 1.0
-    index = GridIndex(cell_size=cell)
-    for i, p in enumerate(sample):
-        index.insert(i, p)
+    index = GridIndex(cell, sample)
+    for i in range(k):
+        index.insert(i)
 
     counts = np.zeros(k, dtype=np.int64)
     for p in data:

@@ -9,14 +9,6 @@ class ZeroExtentError(VizSampleError):
     """All points coincide; no bandwidth can be derived."""
 
 
-class DuplicateIdError(VizSampleError):
-    """An id was inserted twice into a spatial index."""
-
-
-class UnknownIdError(VizSampleError):
-    """An id is not present in the spatial index."""
-
-
 class EmptyIndexError(VizSampleError):
     """A query requires a non-empty spatial index."""
 

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceededError, NoEdgesError
+from .errors import BudgetExceededError, KTooLargeError, NoEdgesError
 from .geometry import KernelParams, gauss, sq_distances
 
 DEFAULT_SUBSET_BUDGET = 10**7
@@ -77,8 +77,10 @@ def weights_from_points(points: np.ndarray, params: KernelParams) -> WeightMatri
 
 
 def _check_budget(n: int, k: int, budget: int) -> None:
-    if not (0 <= k <= n):
-        raise ValueError(f"k={k} out of range for n={n}")
+    if k < 0:
+        raise ValueError(f"k={k} must be >= 0")
+    if k > n:
+        raise KTooLargeError(f"k={k} exceeds dataset size {n}")
     if math.comb(n, k) > budget:
         raise BudgetExceededError(f"C({n},{k}) exceeds the budget of {budget} subsets")
 
@@ -162,8 +164,10 @@ def export_mip_lp(wm: WeightMatrix, k: int, sink) -> None:
     """
     if wm.n < 2:
         raise ValueError("model requires n >= 2")
-    if not (1 <= k <= wm.n):
-        raise ValueError(f"k={k} out of range for n={wm.n}")
+    if k < 1:
+        raise ValueError(f"k={k} must be >= 1")
+    if k > wm.n:
+        raise KTooLargeError(f"k={k} exceeds dataset size {wm.n}")
     if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
         with open(sink, "w", encoding="utf-8") as fh:
             _write_lp(wm, k, fh)

@@ -74,7 +74,8 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gauss(d2: np.ndarray, inv: float, cutoff2: float | None = None) -> np.ndarray:
     """Gaussian kernel exp(-d2 * inv) of squared distances ``d2``; zero where
     ``d2`` exceeds ``cutoff2``."""
-    w = np.exp(d2 * -inv)
+    w = d2 * -inv
+    np.exp(w, out=w)
     if cutoff2 is not None:
         w[d2 > cutoff2] = 0.0
     return w

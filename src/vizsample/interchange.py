@@ -71,23 +71,6 @@ class RunStats:
     objective_trace: list[float] = field(default_factory=list)
 
 
-class _SlotGrid(GridIndex):
-    """The members' grid.  Its ids are slots of ``pts``, so ``within_radius``
-    tests distances in numpy, returns an array of slots, and leaves their
-    squared distances in ``d2`` for the kernel."""
-
-    def __init__(self, cell_size: float, pts: np.ndarray):
-        super().__init__(cell_size)
-        self._slot_pts = pts
-
-    def _in_ball(self, ids: list[int], center, r: float) -> np.ndarray:
-        slots = np.array(ids, dtype=np.intp)
-        d2 = sq_distances(center, self._slot_pts[slots])
-        keep = d2 <= r * r
-        self.d2 = d2[keep]
-        return slots[keep]
-
-
 class ResponsibilitySet:
     """The optimizer state: points, responsibilities, insertion order.
 
@@ -112,7 +95,7 @@ class ResponsibilitySet:
         self._seq = 0
         self.last_removed_src = -1
         self._inv = params.inv_2eps2
-        self.index = _SlotGrid(params.cutoff_radius, self.pts) if mode == "esloc" else None
+        self.index = GridIndex(params.cutoff_radius, self.pts) if mode == "esloc" else None
         # contributions of the most recent expand: (slot array, weight array)
         self._last_slots: np.ndarray | None = None
         self._last_contrib: np.ndarray | None = None
@@ -166,7 +149,7 @@ class ResponsibilitySet:
         self.order[slot] = self._seq
         self.src[slot] = source_index
         if self.index is not None:
-            self.index.insert(slot, p)
+            self.index.insert(slot)
         self._seq += 1
         self.n += 1
         self._last_slots = slots

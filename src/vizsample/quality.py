@@ -91,12 +91,12 @@ def draw_domain_points(
     ``domain_radius`` of some dataset point, until ``n_points`` are accepted."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    data = np.asarray(data, dtype=float).reshape(-1, 2)
+    data = np.ascontiguousarray(data, dtype=float).reshape(-1, 2)
     lo, hi = bounding_box(data)
     rng = np.random.default_rng(seed)
-    index = GridIndex(cell_size=max(domain_radius, 1e-300))
-    for i, p in enumerate(data):
-        index.insert(i, p)
+    index = GridIndex(max(domain_radius, 1e-300), data)
+    for i in range(len(data)):
+        index.insert(i)
 
     accepted: list[np.ndarray] = []
     drawn = 0

@@ -1,8 +1,13 @@
-"""Dynamic 2-D point index backed by a uniform grid of buckets.
+"""Uniform grid of buckets over the rows of a caller-owned point array.
 
-Supports the queries the rest of the package needs: closed-ball radius
-queries (truncated pair-weight updates), membership queries (the Monte-Carlo
-domain test) and nearest-neighbor queries (the density-embedding pass).
+``GridIndex(cell_size, pts)`` buckets row ids of an (n, 2) float64 array
+that the caller keeps: it writes row ``i`` before ``insert(i)``, calls
+``remove(i)`` before it overwrites that row, and copies a row to its new
+place before ``relabel``.  The index keeps no copy of the coordinates.
+
+It answers the queries the package needs: closed-ball radius queries
+(truncated pair-weight updates), membership queries (the Monte-Carlo domain
+test) and nearest-neighbor queries (the density-embedding pass).
 Correctness is defined against a brute-force linear scan; see the test suite.
 
 Semantics fixed here:
@@ -16,88 +21,69 @@ from __future__ import annotations
 
 import math
 
-from .errors import DuplicateIdError, EmptyIndexError, UnknownIdError
+import numpy as np
+
+from .errors import EmptyIndexError
+from .geometry import sq_distances
 
 
 class GridIndex:
-    """Uniform-grid index over points with integer id handles."""
+    """Uniform-grid index over the row ids of ``pts``."""
 
-    def __init__(self, cell_size: float):
+    def __init__(self, cell_size: float, pts: np.ndarray):
         if not (cell_size > 0) or not math.isfinite(cell_size):
             raise ValueError(f"cell_size must be a finite positive real, got {cell_size}")
+        if pts.dtype != np.float64 or pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"pts must be an (n, 2) float64 array, got {pts.dtype} {pts.shape}")
         self.cell_size = float(cell_size)
-        self._pts: dict[int, tuple[float, float]] = {}
+        self.pts = pts
+        self._mv = memoryview(pts)
         self._cells: dict[tuple[int, int], list[int]] = {}
-        self._cell_of: dict[int, tuple[int, int]] = {}
+        self._n = 0
+        # squared distances of the last ``within_radius`` result, in its order
+        self.d2: np.ndarray | None = None
 
-    def _cell(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
+    def _cell_of(self, id_: int) -> tuple[int, int]:
+        cs = self.cell_size
+        return (math.floor(self._mv[id_, 0] / cs), math.floor(self._mv[id_, 1] / cs))
 
-    def insert(self, id_: int, point) -> None:
-        if id_ in self._pts:
-            raise DuplicateIdError(f"id {id_} already present")
-        x, y = float(point[0]), float(point[1])
-        cell = self._cell(x, y)
-        self._pts[id_] = (x, y)
-        self._cells.setdefault(cell, []).append(id_)
-        self._cell_of[id_] = cell
+    def insert(self, id_: int) -> None:
+        self._cells.setdefault(self._cell_of(id_), []).append(id_)
+        self._n += 1
 
     def remove(self, id_: int) -> None:
-        if id_ not in self._pts:
-            raise UnknownIdError(f"id {id_} not present")
-        cell = self._cell_of.pop(id_)
-        del self._pts[id_]
+        cell = self._cell_of(id_)
         bucket = self._cells[cell]
         bucket.remove(id_)
         if not bucket:
             del self._cells[cell]
+        self._n -= 1
 
     def relabel(self, old: int, new: int) -> None:
-        """Give point ``old`` the id ``new``; it keeps its place in its cell,
-        and so in the order of query results."""
-        if old not in self._pts:
-            raise UnknownIdError(f"id {old} not present")
-        if new in self._pts:
-            raise DuplicateIdError(f"id {new} already present")
-        cell = self._cell_of.pop(old)
-        self._cell_of[new] = cell
-        self._pts[new] = self._pts.pop(old)
-        bucket = self._cells[cell]
+        """Move id ``old`` to row ``new``, which already holds its point; it
+        keeps its place in its cell, and so in the order of query results."""
+        bucket = self._cells[self._cell_of(new)]
         bucket[bucket.index(old)] = new
 
-    def _candidates(self, center, r: float) -> list[int]:
-        """Ids in the cells that the square of half-side ``r`` around
-        ``center`` overlaps, by x and then y."""
+    def within_radius(self, center, r: float) -> np.ndarray:
+        """Ids of all points with Euclidean distance <= r from ``center``;
+        their squared distances are left in ``d2``."""
+        if r < 0:
+            raise ValueError("radius must be non-negative")
         cx, cy = float(center[0]), float(center[1])
         cs = self.cell_size
         cells = self._cells
-        out: list[int] = []
+        ids: list[int] = []
         for ix in range(math.floor((cx - r) / cs), math.floor((cx + r) / cs) + 1):
             for iy in range(math.floor((cy - r) / cs), math.floor((cy + r) / cs) + 1):
                 bucket = cells.get((ix, iy))
                 if bucket:
-                    out += bucket
-        return out
-
-    def within_radius(self, center, r: float) -> list[int]:
-        """Ids of all points with Euclidean distance <= r from ``center``."""
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        return self._in_ball(self._candidates(center, r), center, r)
-
-    def _in_ball(self, ids: list[int], center, r: float) -> list[int]:
-        """The ``ids`` at distance <= r from ``center``, in their order."""
-        cx, cy = float(center[0]), float(center[1])
-        r2 = r * r
-        pts = self._pts
-        out: list[int] = []
-        for id_ in ids:
-            px, py = pts[id_]
-            dx = px - cx
-            dy = py - cy
-            if dx * dx + dy * dy <= r2:
-                out.append(id_)
-        return out
+                    ids += bucket
+        slots = np.array(ids, dtype=np.intp)
+        d2 = sq_distances(np.asarray(center, dtype=float), self.pts[slots])
+        keep = d2 <= r * r
+        self.d2 = d2[keep]
+        return slots[keep]
 
     def any_within_radius(self, center, r: float) -> bool:
         """Membership test with early exit; same closed-ball semantics."""
@@ -106,7 +92,7 @@ class GridIndex:
         cx, cy = float(center[0]), float(center[1])
         cs = self.cell_size
         r2 = r * r
-        pts = self._pts
+        mv = self._mv
         cells = self._cells
         for ix in range(math.floor((cx - r) / cs), math.floor((cx + r) / cs) + 1):
             for iy in range(math.floor((cy - r) / cs), math.floor((cy + r) / cs) + 1):
@@ -114,45 +100,41 @@ class GridIndex:
                 if not bucket:
                     continue
                 for id_ in bucket:
-                    px, py = pts[id_]
-                    dx = px - cx
-                    dy = py - cy
+                    dx = mv[id_, 0] - cx
+                    dy = mv[id_, 1] - cy
                     if dx * dx + dy * dy <= r2:
                         return True
         return False
 
     def nearest_neighbor(self, q) -> int:
         """Id of the point closest to ``q``; ties go to the smallest id."""
-        if not self._pts:
+        if not self._n:
             raise EmptyIndexError("nearest_neighbor on an empty index")
         qx, qy = float(q[0]), float(q[1])
         cs = self.cell_size
-        qc = self._cell(qx, qy)
-        # Max ring that can contain any occupied cell.
-        max_ring = 0
-        for (ix, iy) in self._cells:
-            max_ring = max(max_ring, abs(ix - qc[0]), abs(iy - qc[1]))
-
+        qc = (math.floor(qx / cs), math.floor(qy / cs))
         best_d2 = math.inf
         best_id = -1
-        pts = self._pts
+        seen = 0
+        mv = self._mv
         cells = self._cells
-        for ring in range(max_ring + 1):
-            # A cell at Chebyshev ring distance R is at least (R-1)*cs away.
-            if best_id >= 0 and (ring - 1) * cs > math.sqrt(best_d2):
-                break
+        ring = 0
+        # Stop once every live id has been seen, or when the next ring's cells
+        # (at least (ring-1)*cs away) cannot beat the best found.
+        while seen < self._n and not (best_id >= 0 and (ring - 1) * cs > math.sqrt(best_d2)):
             for ix, iy in _ring_cells(qc, ring):
                 bucket = cells.get((ix, iy))
                 if not bucket:
                     continue
+                seen += len(bucket)
                 for id_ in bucket:
-                    px, py = pts[id_]
-                    dx = px - qx
-                    dy = py - qy
+                    dx = mv[id_, 0] - qx
+                    dy = mv[id_, 1] - qy
                     d2 = dx * dx + dy * dy
                     if d2 < best_d2 or (d2 == best_d2 and id_ < best_id):
                         best_d2 = d2
                         best_id = id_
+            ring += 1
         return best_id
 
 

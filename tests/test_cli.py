@@ -163,15 +163,33 @@ def test_usage_error_exits_2():
         ["evaluate", "--points", "0"],
         ["evaluate", "--epsilon", "0"],
         ["evaluate", "--domain-radius", "-1"],
+        ["exact", "--k", "-1"],
+        ["gen", "--n", "5", "--cov", "-1"],
+        ["gen", "--n", "5", "--cov", "nan"],
+        ["sample", "--k", "3", "--time-budget-secs", "nan"],
+        ["sample", "--k", "3", "--time-budget-secs", "-1"],
     ],
 )
 def test_out_of_range_flag_exits_2_without_traceback(argv, dataset, tmp_path, capsys):
-    files = (
-        ["--input", str(dataset), "--output", str(tmp_path / "o.csv")]
-        if argv[0] == "sample"
-        else ["--data", str(dataset), "--sample", str(dataset)]
-    )
+    out = str(tmp_path / "o.csv")
+    files = {
+        "sample": ["--input", str(dataset), "--output", out],
+        "evaluate": ["--data", str(dataset), "--sample", str(dataset)],
+        "exact": ["--input", str(dataset)],
+        "gen": ["--output", out],
+    }[argv[0]]
     with pytest.raises(SystemExit) as ei:
         main([*argv, *files])
     assert ei.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["exact"], ["export-mip", "--output", "model.lp"]])
+def test_k_above_row_count_exits_1(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "5", "--seed", "3", "--output", "tiny.csv"]) == 0
+    assert main([*command, "--input", "tiny.csv", "--k", "9"]) == 1
+    err = capsys.readouterr().err
+    assert "error: k=9 exceeds dataset size 5" in err
+    assert "Traceback" not in err

@@ -128,6 +128,9 @@ def test_gen_blobs_validation():
         gen_blobs(0, 1, seed=0)
     with pytest.raises(ValueError):
         gen_blobs(10, 0, seed=0)
+    for cov in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            gen_blobs(10, 1, seed=0, cov=cov)
 
 
 def test_gen_blobs_more_blobs_than_points():
