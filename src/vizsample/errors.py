@@ -22,7 +22,8 @@ class EmptyDatasetError(VizSampleError):
 
 
 class InsufficientDataError(VizSampleError):
-    """Bin capacities cannot cover the requested sample size."""
+    """Too few data points: bin capacities below the sample size, or fewer
+    than two points for a weight matrix."""
 
 
 class BudgetExceededError(VizSampleError):

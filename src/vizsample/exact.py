@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceededError, KTooLargeError, NoEdgesError
+from .errors import BudgetExceededError, InsufficientDataError, KTooLargeError, NoEdgesError
 from .geometry import KernelParams, gauss, sq_distances
 
 DEFAULT_SUBSET_BUDGET = 10**7
@@ -70,7 +70,7 @@ def weights_from_points(points: np.ndarray, params: KernelParams) -> WeightMatri
     """Pairwise kappa_tilde matrix of a point set."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 2:
-        raise ValueError("need at least 2 points")
+        raise InsufficientDataError(f"need at least 2 points, got {len(pts)}")
     w = gauss(sq_distances(pts, pts), params.inv_2eps2)
     np.fill_diagonal(w, 0.0)
     return WeightMatrix(w)

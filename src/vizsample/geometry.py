@@ -73,11 +73,18 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gauss(d2: np.ndarray, inv: float, cutoff2: float | None = None) -> np.ndarray:
     """Gaussian kernel exp(-d2 * inv) of squared distances ``d2``; zero where
-    ``d2`` exceeds ``cutoff2``."""
+    ``d2`` exceeds ``cutoff2``.
+
+    With a cutoff the exponent is first clamped at ``-cutoff2 * inv``: numpy's
+    float64 ``exp`` is many times slower below about -700, and a block is
+    mostly such lanes.  Lanes inside the cutoff are not clamped (rounding is
+    monotone), so they keep their exact value."""
     w = d2 * -inv
+    if cutoff2 is not None:
+        np.maximum(w, -cutoff2 * inv, out=w)
     np.exp(w, out=w)
     if cutoff2 is not None:
-        w[d2 > cutoff2] = 0.0
+        np.copyto(w, 0.0, where=d2 > cutoff2)
     return w
 
 

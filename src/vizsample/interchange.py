@@ -19,6 +19,14 @@ Three execution modes:
 
 ``noes`` and ``es`` produce identical samples on identical streams; ``esloc``
 differs only by per-pair truncation error.
+
+Batched rejection (``es`` and ``esloc``): at small K almost every step
+evicts the point it just added.  ``run_interchange`` hands a run of upcoming
+candidates to ``ResponsibilitySet.reject_run``, which scores them against
+all members in one kernel block and settles the leading ones that ``step``
+would evict at once, replaying the floating-point round trip ``step`` leaves
+on the responsibilities, so samples stay bit-identical.  The first candidate
+that is not clearly evicted goes through ``step``.
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ from .quality import surrogate_objective
 from .spatial import GridIndex
 
 MODES = ("noes", "es", "esloc")
+
+# Most pair cells in one ``reject_run`` block; batching needs room for at
+# least 8 candidate rows, so it runs only for K <= 1024.
+REJECT_BLOCK_CELLS = 8192
 
 
 @dataclass
@@ -68,6 +80,8 @@ class RunStats:
     wall_time: float = 0.0
     passes_run: int = 0
     max_drift: float = 0.0
+    stop_reason: str = ""  # "converged", "passes" or "time_budget"
+    batch_rejects: int = 0  # candidates settled by ``reject_run``, not ``step``
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -209,6 +223,44 @@ class ResponsibilitySet:
             self.recompute()
         return self.shrink()
 
+    def reject_run(self, cands: np.ndarray) -> int:
+        """Settle the leading rows of ``cands`` (m, 2) that ``step`` would
+        expand and evict again at once; returns how many, L.
+
+        The state is left as L such steps leave it: each row's weights are
+        added to the responsibilities and subtracted again (the rounding of
+        that round trip is kept), the insertion counter advances by L, and
+        the grid, where the newest point would be appended and removed, is
+        untouched.  A row is settled when its weight sum, less a 1e-9
+        relative margin, exceeds the largest member responsibility after
+        its weights are added.  The margin covers the block summing the
+        weights in slot order where ``step`` sums them in cell order; their
+        difference is below n * 2**-53 relative.  Each row is checked against
+        the responsibilities the rows before it left, not those at entry:
+        a round trip can move a small responsibility by ulp(weight), far
+        more than 1e-9 of it.
+        """
+        if self.mode == "noes":
+            raise ValueError("reject_run replays es/esloc steps; noes recomputes")
+        if self.n != self.k:
+            raise ValueError("reject_run requires a set at rest (|R| = K)")
+        n = self.n
+        cutoff2 = self.params.cutoff_radius**2 if self.mode == "esloc" else None
+        w = gauss(sq_distances(cands, self.pts[:n]), self._inv, cutoff2)
+        clear = w.sum(axis=1)
+        clear *= 1.0 - 1e-9
+        rsp = self.rsp[:n]
+        grown = np.empty(n)
+        settled = 0
+        for wt, c in zip(w, clear.tolist()):
+            np.add(rsp, wt, out=grown)
+            if not c > grown.max():
+                break
+            np.subtract(grown, wt, out=rsp)
+            settled += 1
+        self._seq += settled
+        return settled
+
     def recompute(self) -> float:
         """Recompute responsibilities from scratch (mode-consistent truncation);
         returns the max relative drift of the stored values."""
@@ -223,6 +275,7 @@ class ResponsibilitySet:
             rows = np.arange(s.stop - s.start)
             w[rows, rows + s.start] = 0.0
             fresh[s] = w.sum(axis=1)
+            del w  # free this block before the next one is built
         scale = np.maximum(np.abs(fresh), 1e-300)
         drift = float(np.max(np.abs(self.rsp[:n] - fresh) / scale))
         self.rsp[:n] = fresh
@@ -236,8 +289,11 @@ def run_interchange(
 
     The state is seeded with the first K streamed points (after the optional
     seeded shuffle of the stream order); every later point goes through one
-    ``step``.  Passes repeat over the same order and stop early when a full
-    pass makes no replacement.
+    ``step``, or, in a run of rejections, through a ``reject_run`` block as
+    long as the run so far (at most ``REJECT_BLOCK_CELLS // K`` rows, none
+    past the next recompute).  Passes repeat over the same order and stop
+    early when a full pass makes no replacement; the time budget is checked
+    after every step or block.
     """
     data = np.asarray(data, dtype=float).reshape(-1, 2)
     n = len(data)
@@ -258,46 +314,78 @@ def run_interchange(
 
     stats = RunStats(points_seen=cfg.k)
     if cfg.k == n:
+        stats.stop_reason = "converged"
         stats.final_objective = state.exact_objective()
         stats.wall_time = time.perf_counter() - t0
         return _to_sample(state), stats
 
     max_passes = 10**9 if cfg.until_converged else cfg.passes
+    # rows of one reject_run block; 0 keeps every candidate on ``step``
+    rows = REJECT_BLOCK_CELLS // cfg.k
+    if cfg.mode == "noes" or cfg.record_trace or rows < 8:
+        rows = 0
+    run = 0  # consecutive rejections, the size of the next block
     since_recompute = 0
     out_of_time = False
-    member_src = {int(i) for i in order[: cfg.k]}
+    member = np.zeros(n, dtype=bool)
+    member[order[: cfg.k]] = True
     for p in range(max_passes):
         stream = order[cfg.k :] if p == 0 else order
         pass_repl = 0
-        for step_no, i in enumerate(stream):
-            ii = int(i)
-            if ii in member_src:
+        pos = 0
+        while pos < len(stream):
+            ii = int(stream[pos])
+            if member[ii]:
                 # swapping a member with itself can never improve; skipping
                 # also avoids fp-noise evictions between exact duplicates
+                pos += 1
                 continue
-            replaced = state.step(data[ii], ii)
-            if replaced:
-                member_src.discard(state.last_removed_src)
-                member_src.add(ii)
-            stats.points_seen += 1
-            pass_repl += replaced
-            if cfg.record_trace:
-                stats.objective_trace.append(state.exact_objective())
-            since_recompute += 1
+            b = min(run, rows, len(stream) - pos, cfg.recompute_interval - since_recompute)
+            settled_all = False
+            if b >= 2:
+                window = stream[pos : pos + b + cfg.k]
+                offs = np.flatnonzero(~member[window])[:b]
+                settled = state.reject_run(data[window[offs]])
+                stats.batch_rejects += settled
+                stats.points_seen += settled
+                since_recompute += settled
+                settled_all = settled == len(offs)
+                if settled_all:
+                    run += settled
+                    pos += int(offs[-1]) + 1
+                else:
+                    # the first candidate not clearly evicted goes through step
+                    run = settled
+                    pos += int(offs[settled])
+                    ii = int(stream[pos])
+            if not settled_all:
+                replaced = state.step(data[ii], ii)
+                if replaced:
+                    member[state.last_removed_src] = False
+                    member[ii] = True
+                run = 0 if replaced else run + 1
+                stats.points_seen += 1
+                pass_repl += replaced
+                if cfg.record_trace:
+                    stats.objective_trace.append(state.exact_objective())
+                since_recompute += 1
+                pos += 1
             if since_recompute >= cfg.recompute_interval:
                 stats.max_drift = max(stats.max_drift, state.recompute())
                 since_recompute = 0
-            if (
-                cfg.time_budget_secs is not None
-                and step_no % 1024 == 0
-                and time.perf_counter() - t0 > cfg.time_budget_secs
-            ):
+            if cfg.time_budget_secs is not None and time.perf_counter() - t0 > cfg.time_budget_secs:
                 out_of_time = True
                 break
         stats.replacements += pass_repl
         stats.passes_run += 1
-        if pass_repl == 0 or out_of_time:
+        if out_of_time:
+            stats.stop_reason = "time_budget"
             break
+        if pass_repl == 0:
+            stats.stop_reason = "converged"
+            break
+    else:
+        stats.stop_reason = "passes"
 
     stats.max_drift = max(stats.max_drift, state.recompute())
     stats.final_objective = state.exact_objective()

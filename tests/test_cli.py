@@ -193,3 +193,14 @@ def test_k_above_row_count_exits_1(command, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error: k=9 exceeds dataset size 5" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["exact"], ["export-mip", "--output", "model.lp"]])
+def test_one_row_input_exits_1(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "1", "--seed", "3", "--output", "one.csv"]) == 0
+    assert main([*command, "--input", "one.csv", "--k", "1", "--epsilon", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "error: need at least 2 points, got 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "model.lp").exists()

@@ -125,6 +125,23 @@ def test_gauss_matches_scalar_double_loop(a, b, eps, cutoff):
     assert np.array_equal(gauss(sq_distances(A[0], B), inv, cutoff2), got[0])
 
 
+@pytest.mark.parametrize("cut_exponent", [500.0, 720.0, 745.0, 760.0, 2000.0])
+def test_gauss_cutoff_clamp_is_bitwise_exact(cut_exponent):
+    # exponents d2 * inv from 0 to 1500, through the subnormal band
+    # (-745, -708) and below it, plus lanes at and next to the cutoff
+    rng = np.random.default_rng(13)
+    inv = 0.37
+    cutoff2 = cut_exponent / inv
+    d2 = rng.uniform(0, 1500 / inv, size=(64, 50))
+    d2[0, :3] = [cutoff2, np.nextafter(cutoff2, 0), np.nextafter(cutoff2, np.inf)]
+    e = d2 * inv
+    assert ((e > 708) & (e < 745)).any() and (e > 745).any()
+    want = np.exp(-d2 * inv)
+    want[d2 > cutoff2] = 0.0
+    got = gauss(d2, inv, cutoff2)
+    assert got.tobytes() == want.tobytes()
+
+
 def _pair_results(pts, xs, params):
     rsp = {}
     for mode in ("es", "esloc"):

@@ -1,9 +1,11 @@
+import copy
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from vizsample import interchange
 from vizsample.errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
 from vizsample.geometry import make_params
 from vizsample.interchange import InterchangeConfig, ResponsibilitySet, run_interchange
@@ -262,3 +264,149 @@ def test_responsibility_sum_is_twice_objective():
         r.expand(p)
     assert r.objective() == pytest.approx(pair_objective(pts, params), rel=1e-10)
     assert r.objective() == pytest.approx(surrogate_objective(pts, params), rel=1e-10)
+
+
+def _datasets():
+    rng = np.random.default_rng(61)
+    base = rng.uniform(0, 3, size=(60, 2))
+    return {
+        "uniform": rng.uniform(0, 4, size=(500, 2)),
+        # exact ties between distances and between responsibilities
+        "lattice": rng.integers(0, 8, size=(400, 2)).astype(float),
+        "duplicated": base[rng.integers(0, len(base), size=300)],
+    }
+
+
+DATASETS = _datasets()
+
+
+def _run_record(data, cfg, params):
+    sample, stats = run_interchange(data, cfg, params)
+    record = (
+        sample.points.tobytes(),
+        sample.source_indices.tobytes(),
+        stats.points_seen,
+        stats.replacements,
+        stats.passes_run,
+        np.float64(stats.final_objective).tobytes(),
+        np.float64(stats.max_drift).tobytes(),
+    )
+    return record, stats.batch_rejects
+
+
+@pytest.mark.parametrize("mode", ["es", "esloc"])
+@pytest.mark.parametrize("kind", sorted(DATASETS))
+@pytest.mark.parametrize("interval", [100_000, 9])
+def test_batched_rejection_matches_per_step_run(mode, kind, interval, monkeypatch):
+    params = make_params(0.4)
+    cfg = InterchangeConfig(k=20, seed=5, mode=mode, passes=3, recompute_interval=interval)
+    batched, batch_rejects = _run_record(DATASETS[kind], cfg, params)
+    monkeypatch.setattr(interchange, "REJECT_BLOCK_CELLS", 0)
+    per_step, no_batch_rejects = _run_record(DATASETS[kind], cfg, params)
+    assert batch_rejects > 0 and no_batch_rejects == 0
+    assert batched == per_step
+
+
+def _state_record(state):
+    n = state.n
+    grid = None if state.index is None else copy.deepcopy(state.index._cells)
+    return (
+        state.pts[:n].tobytes(),
+        state.rsp[:n].tobytes(),
+        state.order[:n].tobytes(),
+        state.src[:n].tobytes(),
+        state._seq,
+        grid,
+    )
+
+
+def _state_after(data, k, params, mode):
+    """State after seeding with data[:k] and stepping through the rest."""
+    state = ResponsibilitySet(k, params, mode)
+    for i, p in enumerate(data[:k]):
+        state.expand(p, i)
+    for i, p in enumerate(data[k:], start=k):
+        state.step(p, i)
+    return state
+
+
+@pytest.mark.parametrize("mode", ["es", "esloc"])
+def test_reject_run_leaves_the_state_of_its_steps(mode):
+    rng = np.random.default_rng(71)
+    params = make_params(0.3)
+    settled = []
+    for _ in range(40):
+        data = rng.uniform(0, 3, size=(60, 2))
+        batched = _state_after(data[:40], 12, params, mode)
+        stepped = _state_after(data[:40], 12, params, mode)
+        cands = data[40:]
+        n_settled = batched.reject_run(cands)
+        for i in range(n_settled):
+            assert stepped.step(cands[i], 40 + i) is False
+        assert _state_record(batched) == _state_record(stepped)
+        settled.append(n_settled)
+    assert 0 < sum(settled) and min(settled) < len(cands)
+
+
+def test_reject_run_checks_each_row_after_the_round_trips_before_it():
+    # Members far apart have responsibilities near 3.5e-11.  Expanding the
+    # first candidate next to member 2 and evicting it again moves that
+    # member's responsibility by about ulp(1), 3.47370774e-11 -> 3.47371021e-11.
+    # Against the responsibilities before that round trip the second
+    # candidate looks clearly evicted; step answers it with a replacement.
+    members = [
+        [10.924252571715536, 12.873232596853832],
+        [1.1768538986227084, 10.142515113961153],
+        [9.527308814204618, 6.0750729104095536],
+    ]
+    first = [9.460291747761381, 6.598646278403779]
+    second = [3.321848125108975, 3.5421040127184944]
+    state = _state_after(np.array(members), 3, make_params(1.0), "es")
+    stepped = _state_after(np.array(members), 3, make_params(1.0), "es")
+    assert state.reject_run(np.array([first, second])) == 1
+    assert stepped.step(first, 3) is False
+    assert _state_record(state) == _state_record(stepped)
+    assert state.step(second, 4) is True
+
+
+def test_reject_run_needs_a_replayable_mode_at_rest():
+    state = ResponsibilitySet(2, UNIT, "noes")
+    state.expand((0.0, 0.0))
+    state.expand((5.0, 0.0))
+    with pytest.raises(ValueError):
+        state.reject_run(np.zeros((3, 2)))
+    es = ResponsibilitySet(2, UNIT, "es")
+    es.expand((0.0, 0.0))
+    with pytest.raises(ValueError):
+        es.reject_run(np.zeros((3, 2)))
+
+
+def test_stop_reasons():
+    data = DATASETS["uniform"][:80]
+    params = make_params(0.3)
+    _, stats = run_interchange(data, InterchangeConfig(k=6, seed=1, until_converged=True), params)
+    assert stats.stop_reason == "converged" and stats.passes_run > 1
+    _, stats = run_interchange(data, InterchangeConfig(k=6, seed=1, passes=1), params)
+    assert stats.stop_reason == "passes" and stats.replacements > 0
+    cfg = InterchangeConfig(k=6, seed=1, passes=50, time_budget_secs=1e-9)
+    _, stats = run_interchange(data, cfg, params)
+    assert stats.stop_reason == "time_budget"
+    assert stats.passes_run == 1 and stats.points_seen < len(data)
+    _, stats = run_interchange(data[:6], InterchangeConfig(k=6), params)
+    assert stats.stop_reason == "converged"
+
+
+@pytest.mark.parametrize(
+    "k, kw",
+    [(10, {"mode": "noes"}), (10, {"record_trace": True}), (1025, {"mode": "es"})],
+)
+def test_per_step_runs_do_not_batch(k, kw):
+    rng = np.random.default_rng(83)
+    data = rng.uniform(0, 30, size=(k + 200, 2))
+    cfg = InterchangeConfig(k=k, seed=2, passes=2, **kw)
+    _, stats = run_interchange(data, cfg, make_params(0.3))
+    assert stats.batch_rejects == 0
+    # the same run one K lower (K <= 1024) does batch
+    if k == 1025:
+        cfg = InterchangeConfig(k=1024, seed=2, passes=2, mode="es")
+        assert run_interchange(data, cfg, make_params(0.3))[1].batch_rejects > 0
