@@ -7,6 +7,7 @@ decimal output so that write/read round-trips are bit identical.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,10 @@ class Sample:
         return len(self.points)
 
 
+_COUNT_MIN, _COUNT_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_COUNT_ROW = np.dtype([("x", np.float64), ("y", np.float64), ("count", np.int64)])
+
+
 def _parse_float(token: str, lineno: int, col: str) -> float:
     try:
         v = float(token)
@@ -48,6 +53,8 @@ def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | 
     ``headers``: the (n, 2) points and, for the count header, the counts.
 
     Blank lines are skipped; malformed rows raise a line-numbered ``ParseError``.
+    The body is parsed by numpy; wherever that could differ from the line
+    parser below, the line parser runs instead and names the bad line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -58,6 +65,9 @@ def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | 
         expected = " or ".join(repr(h) for h in headers)
         raise ParseError(1, f"expected header {expected}, got {header!r}")
     with_counts = header == "x,y,count"
+    fast = _fast_rows(lines[1:], with_counts)
+    if fast is not None:
+        return fast
     ncols = 3 if with_counts else 2
     pts = []
     counts = []
@@ -69,13 +79,47 @@ def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | 
             raise ParseError(lineno, f"expected {ncols} columns, got {len(parts)}")
         pts.append((_parse_float(parts[0], lineno, "x"), _parse_float(parts[1], lineno, "y")))
         if with_counts:
-            try:
-                counts.append(int(parts[2]))
-            except ValueError:
-                raise ParseError(lineno, f"bad count value {parts[2]!r}") from None
+            counts.append(_parse_count(parts[2], lineno))
     if not pts:
         raise EmptyFileError(f"{path}: no data rows")
     return np.array(pts, dtype=float), (np.array(counts, dtype=np.int64) if with_counts else None)
+
+
+def _parse_count(token: str, lineno: int) -> int:
+    try:
+        v = int(token)
+    except ValueError:
+        raise ParseError(lineno, f"bad count value {token!r}") from None
+    if not _COUNT_MIN <= v <= _COUNT_MAX:
+        raise ParseError(lineno, f"count value {token!r} out of the int64 range")
+    return v
+
+
+def _fast_rows(body: list[str], with_counts: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The body rows parsed by ``np.loadtxt``, or None wherever the line
+    parser could give another result: a token numpy rejects (among them
+    ``1_0`` and, as a count, ``3.0``, which ``float``/``int`` treat
+    differently), a wrong column count, a blank-looking line that is not
+    empty, no rows, or a non-finite value.  numpy accepts a subset of the
+    tokens ``float`` and ``int`` accept and gives them the same value."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                body, delimiter=",", comments=None,
+                dtype=_COUNT_ROW if with_counts else np.float64, ndmin=1 if with_counts else 2,
+            )
+    except (ValueError, Warning):
+        return None
+    if with_counts:
+        pts, counts = np.column_stack((rows["x"], rows["y"])), rows["count"].copy()
+    elif rows.shape[1] == 2:
+        pts, counts = rows, None
+    else:
+        return None
+    if not np.isfinite(pts).all():
+        return None
+    return pts, counts
 
 
 def read_points_csv(path) -> np.ndarray:

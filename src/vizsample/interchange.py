@@ -38,7 +38,7 @@ import numpy as np
 
 from .dataio import Sample
 from .errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
-from .geometry import KernelParams, gauss, row_blocks, sq_distances
+from .geometry import KernelParams, gauss, kernel_blocks, sq_distances
 from .quality import surrogate_objective
 from .spatial import GridIndex
 
@@ -171,6 +171,9 @@ class ResponsibilitySet:
 
     def shrink(self) -> bool:
         """Evict the max-responsibility entry (ties: most recently inserted).
+        An entry at exactly the newest point's coordinates is interchangeable
+        with it, so the newest goes instead: rounding noise in the
+        responsibilities of duplicates must not count as a replacement.
 
         Returns True when the evicted entry is not the most recent insertion,
         i.e. the step replaced an incumbent.
@@ -183,6 +186,8 @@ class ResponsibilitySet:
         cand = np.flatnonzero(rsp == m)
         j = int(cand[np.argmax(self.order[cand])])
         newest_slot = n - 1  # expand always appends
+        if j != newest_slot and self.pts[j].tolist() == self.pts[newest_slot].tolist():
+            j = newest_slot
 
         if j == newest_slot and self._last_slots is not None:
             slots, contrib = self._last_slots, self._last_contrib
@@ -270,12 +275,10 @@ class ResponsibilitySet:
         pts = self.pts[:n]
         cutoff2 = self.params.cutoff_radius**2 if self.mode == "esloc" else None
         fresh = np.empty(n)
-        for s in row_blocks(n, n):
-            w = gauss(sq_distances(pts[s], pts), self._inv, cutoff2)
+        for s, w in kernel_blocks(pts, pts, self._inv, cutoff2):
             rows = np.arange(s.stop - s.start)
             w[rows, rows + s.start] = 0.0
             fresh[s] = w.sum(axis=1)
-            del w  # free this block before the next one is built
         scale = np.maximum(np.abs(fresh), 1e-300)
         drift = float(np.max(np.abs(self.rsp[:n] - fresh) / scale))
         self.rsp[:n] = fresh

@@ -11,7 +11,7 @@
 - ``bound_check``: the normalized 1/4 additive bound between an approximate
   objective and the optimum.
 
-Every kernel sum here is ``geometry.gauss`` over ``geometry.row_blocks``.
+Every kernel sum here walks ``geometry.kernel_blocks``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainRejectionError, EmptySampleError
-from .geometry import KernelParams, bounding_box, gauss, row_blocks, sq_distances
+from .geometry import KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
 from .spatial import GridIndex
 
 _ACCEPT_FLOOR = 1e-6
@@ -45,13 +45,6 @@ class QualityReport:
         return "\n".join(f"{k}={v!r}" for k, v in asdict(self).items())
 
 
-def _pair_blocks(pts: np.ndarray, params: KernelParams, rows: int | None = None):
-    """kappa_tilde blocks of rows i against columns j >= i; the unordered
-    pairs of a block are its strict upper triangle ``np.triu(block, 1)``."""
-    for s in row_blocks(len(pts), len(pts), rows):
-        yield gauss(sq_distances(pts[s], pts[s.start :]), params.inv_2eps2)
-
-
 def surrogate_objective(points: np.ndarray, params: KernelParams, chunk: int | None = None) -> float:
     """Sum of kappa_tilde over unordered pairs; 0 for a singleton.
 
@@ -61,7 +54,8 @@ def surrogate_objective(points: np.ndarray, params: KernelParams, chunk: int | N
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 1:
         raise EmptySampleError("objective of an empty sample")
-    return float(sum(np.triu(w, 1).sum() for w in _pair_blocks(pts, params, chunk)))
+    blocks = kernel_blocks(pts, pts, params.inv_2eps2, rows=chunk, upper=True)
+    return float(sum(w.sum() for _, w in blocks))
 
 
 def point_loss(x, sample_points: np.ndarray, params: KernelParams) -> float:
@@ -76,8 +70,8 @@ def point_losses(xs: np.ndarray, sample_points: np.ndarray, params: KernelParams
         raise EmptySampleError("point loss against an empty sample")
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
     out = np.empty(len(xs))
-    for s in row_blocks(len(xs), len(S)):
-        denom = gauss(sq_distances(xs[s], S), params.inv_eps2).sum(axis=1)
+    for s, w in kernel_blocks(xs, S, params.inv_eps2):
+        denom = w.sum(axis=1)
         # a vanishing denominator maps to the +inf loss sentinel
         with np.errstate(divide="ignore", over="ignore"):
             out[s] = 1.0 / denom
@@ -190,7 +184,8 @@ def submodular_f(points: np.ndarray, params: KernelParams) -> float:
     """Pair sum of (1 - kappa_tilde); complements the surrogate objective:
     f(S) + objective(S) = |S|(|S|-1)/2."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    return float(sum(np.triu(1.0 - w, 1).sum() for w in _pair_blocks(pts, params)))
+    blocks = kernel_blocks(pts, pts, params.inv_2eps2, upper=True)
+    return float(sum(np.triu(1.0 - w, 1).sum() for _, w in blocks))
 
 
 def marginal_gain(points: np.ndarray, x, params: KernelParams) -> float:

@@ -19,6 +19,7 @@ Semantics fixed here:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -86,7 +87,8 @@ class GridIndex:
         return slots[keep]
 
     def any_within_radius(self, center, r: float) -> bool:
-        """Membership test with early exit; same closed-ball semantics."""
+        """Membership test with early exit; same closed-ball semantics.  The
+        query's own cell, the likeliest to hold a hit, is tested first."""
         if r < 0:
             raise ValueError("radius must be non-negative")
         cx, cy = float(center[0]), float(center[1])
@@ -94,16 +96,19 @@ class GridIndex:
         r2 = r * r
         mv = self._mv
         cells = self._cells
-        for ix in range(math.floor((cx - r) / cs), math.floor((cx + r) / cs) + 1):
-            for iy in range(math.floor((cy - r) / cs), math.floor((cy + r) / cs) + 1):
-                bucket = cells.get((ix, iy))
-                if not bucket:
-                    continue
-                for id_ in bucket:
-                    dx = mv[id_, 0] - cx
-                    dy = mv[id_, 1] - cy
-                    if dx * dx + dy * dy <= r2:
-                        return True
+        own = (math.floor(cx / cs), math.floor(cy / cs))
+        xs = range(math.floor((cx - r) / cs), math.floor((cx + r) / cs) + 1)
+        ys = range(math.floor((cy - r) / cs), math.floor((cy + r) / cs) + 1)
+        rest = (cell for cell in itertools.product(xs, ys) if cell != own)
+        for cell in itertools.chain((own,), rest):
+            bucket = cells.get(cell)
+            if not bucket:
+                continue
+            for id_ in bucket:
+                dx = mv[id_, 0] - cx
+                dy = mv[id_, 1] - cy
+                if dx * dx + dy * dy <= r2:
+                    return True
         return False
 
     def nearest_neighbor(self, q) -> int:

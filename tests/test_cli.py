@@ -141,6 +141,16 @@ def test_malformed_csv_exits_1(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_count_overflow_exits_1_with_line_number(dataset, tmp_path, capsys):
+    sample = tmp_path / "s.csv"
+    sample.write_text("x,y,count\n1,2,99999999999999999999\n")
+    rc = main(["evaluate", "--data", str(dataset), "--sample", str(sample), "--epsilon", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "line 2" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as ei:
         main(["sample", "--k", "3"])  # missing required --input/--output

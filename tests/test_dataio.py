@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vizsample import dataio
 from vizsample.dataio import (
     Sample,
     gen_blobs,
@@ -108,6 +111,81 @@ def test_sample_bad_count(tmp_path):
     with pytest.raises(ParseError) as ei:
         read_sample_csv(path)
     assert ei.value.line == 2
+
+
+def test_sample_count_overflow_reports_line_number(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("x,y,count\n1,2,3\n1,2,99999999999999999999\n")
+    with pytest.raises(ParseError) as ei:
+        read_sample_csv(path)
+    assert ei.value.line == 3
+
+
+def _outcome(path):
+    """What ``_read_csv`` gives for ``path``: the arrays' bytes, or the error."""
+    try:
+        pts, counts = dataio._read_csv(path, ("x,y", "x,y,count"))
+    except ParseError as exc:
+        return ("ParseError", exc.line, str(exc))
+    except EmptyFileError as exc:
+        return ("EmptyFileError", str(exc))
+    assert pts.dtype == np.float64 and pts.flags.c_contiguous and pts.shape[1:] == (2,)
+    return ("rows", pts.tobytes(), None if counts is None else (counts.dtype.str, counts.tobytes()))
+
+
+_TOKENS = st.one_of(
+    st.sampled_from([
+        "nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "1_0", " +1", "+1",
+        "-0", "#", "# 1", "", " ", "3.0", "0x10", "1d3", "1.5e", ".5", "5.", " 2 ", "\t3",
+        "\u0661", "99999999999999999999", "-9223372036854775808", "9223372036854775807",
+        "9223372036854775808", "true", "1 2", "'1'",
+    ]),
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_ROWS = st.one_of(  # well-formed for one header or the other
+    st.tuples(_FINITE, _FINITE),
+    st.tuples(_FINITE, _FINITE, st.integers(-(2**63), 2**63 - 1).map(str)),
+).map(",".join)
+_ODD_LINES = st.one_of(
+    st.lists(_TOKENS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "   ", "#", "# x,y"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["x,y", "x,y,count"]),
+    st.lists(_ROWS, max_size=6),
+    st.lists(st.tuples(st.integers(0, 6), _ODD_LINES), max_size=2),
+)
+def test_numpy_fast_path_matches_line_parser(tmp_path_factory, header, lines, odd):
+    # odd tokens, blank lines, short and long rows: the numpy parse and the
+    # line parser give the same arrays or the same error on the same line
+    for at, line in odd:
+        lines.insert(at, line)
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    fast = _outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_fast_rows", lambda body, with_counts: None)
+        assert _outcome(path) == fast
+
+
+@pytest.mark.parametrize("with_counts", [False, True])
+def test_numpy_fast_path_parses_written_files(tmp_path, with_counts):
+    pts = gen_blobs(500, 3, seed=4)
+    counts = np.arange(500) * 7 - 3
+    path = tmp_path / "s.csv"
+    write_sample_csv(Sample(pts, np.arange(500), "t", counts), path, with_density=with_counts)
+    body = path.read_text().splitlines()[1:]
+    fast_pts, fast_counts = dataio._fast_rows(body, with_counts)
+    assert fast_pts.tobytes() == pts.tobytes()
+    if with_counts:
+        assert fast_counts.tobytes() == counts.astype(np.int64).tobytes()
+    else:
+        assert fast_counts is None
 
 
 def test_sample_length_mismatch_rejected():

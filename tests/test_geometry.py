@@ -125,21 +125,60 @@ def test_gauss_matches_scalar_double_loop(a, b, eps, cutoff):
     assert np.array_equal(gauss(sq_distances(A[0], B), inv, cutoff2), got[0])
 
 
-@pytest.mark.parametrize("cut_exponent", [500.0, 720.0, 745.0, 760.0, 2000.0])
+# exponents d2 * inv (as positive numbers) where the kernel changes regime:
+# numpy's fast exp ends near 708, exp rounds to 0.0 from 745.1332191019411
+# on, and the fast path zeroes from EXP_ZERO_BELOW on
+_EDGE_EXPONENTS = [-geometry.FAST_EXP_FLOOR, 708.0, 745.1332191019411, -geometry.EXP_ZERO_BELOW]
+
+
+@pytest.mark.parametrize("cut_exponent", [None, 500.0, 720.0, 745.0, 760.0, 2000.0])
 def test_gauss_cutoff_clamp_is_bitwise_exact(cut_exponent):
     # exponents d2 * inv from 0 to 1500, through the subnormal band
-    # (-745, -708) and below it, plus lanes at and next to the cutoff
+    # (-745, -708) and below it, plus lanes at and next to the fast-path
+    # bounds, the cutoff and -inf; blocks above and below FAST_EXP_MIN_CELLS,
+    # single-point (1-D) rows and empty rows
     rng = np.random.default_rng(13)
-    inv = 0.37
-    cutoff2 = cut_exponent / inv
-    d2 = rng.uniform(0, 1500 / inv, size=(64, 50))
-    d2[0, :3] = [cutoff2, np.nextafter(cutoff2, 0), np.nextafter(cutoff2, np.inf)]
-    e = d2 * inv
-    assert ((e > 708) & (e < 745)).any() and (e > 745).any()
-    want = np.exp(-d2 * inv)
-    want[d2 > cutoff2] = 0.0
-    got = gauss(d2, inv, cutoff2)
-    assert got.tobytes() == want.tobytes()
+    shapes = [(64, 100), (64, 50), (6000,), (50,), (0,), (64, 0)]
+    assert any(math.prod(sh) >= geometry.FAST_EXP_MIN_CELLS for sh in shapes)
+    for inv in (0.37, 1.0):
+        cutoff2 = None if cut_exponent is None else cut_exponent / inv
+        edges = [np.inf, 0.0]
+        for e in _EDGE_EXPONENTS + ([] if cutoff2 is None else [cut_exponent]):
+            edges += [np.nextafter(e / inv, 0), e / inv, np.nextafter(e / inv, np.inf)]
+        for shape in shapes:
+            d2 = rng.uniform(0, 1500 / inv, size=shape)
+            flat = d2.reshape(-1)
+            flat[: len(edges)] = edges[: flat.size]
+            want = np.exp(d2 * -inv)
+            if cutoff2 is not None:
+                want[d2 > cutoff2] = 0.0
+            got = gauss(d2, inv, cutoff2)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (inv, shape)
+            if flat.size >= 1000:
+                e = flat * inv
+                assert ((e > 708) & (e < 745)).any() and (e > 745.2).any()
+
+
+@pytest.mark.parametrize("cutoff", [None, 0.7, 40.0])
+@pytest.mark.parametrize("upper", [False, True])
+def test_kernel_blocks_match_gauss_per_block(monkeypatch, cutoff, upper):
+    # the reused block buffers hold bitwise what gauss(sq_distances(...))
+    # gives, the last (partial) block included; ``upper`` zeroes j <= i
+    rng = np.random.default_rng(21)
+    a = rng.uniform(0, 30, size=(203, 2))
+    b = a if upper else rng.uniform(0, 30, size=(97, 2))
+    inv = 0.5
+    cutoff2 = None if cutoff is None else cutoff**2
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", 4 * geometry.FAST_EXP_MIN_CELLS // 3)
+    blocks = list(geometry.kernel_blocks(a, b, inv, cutoff2, upper=upper))
+    assert len(blocks) > 2 and blocks[-1][0].stop - blocks[-1][0].start < blocks[0][0].stop
+    for s, w in geometry.kernel_blocks(a, b, inv, cutoff2, upper=upper):
+        want = gauss(sq_distances(a[s], b[s.start :] if upper else b), inv, cutoff2)
+        if upper:
+            want = np.triu(want, 1)
+        assert w.shape == want.shape
+        assert w.tobytes() == want.tobytes()
 
 
 def _pair_results(pts, xs, params):

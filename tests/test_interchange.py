@@ -8,7 +8,7 @@ import pytest
 from vizsample import interchange
 from vizsample.errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
 from vizsample.geometry import make_params
-from vizsample.interchange import InterchangeConfig, ResponsibilitySet, run_interchange
+from vizsample.interchange import MODES, InterchangeConfig, ResponsibilitySet, run_interchange
 from vizsample.quality import surrogate_objective
 
 UNIT = make_params(1.0)
@@ -394,6 +394,39 @@ def test_stop_reasons():
     assert stats.passes_run == 1 and stats.points_seen < len(data)
     _, stats = run_interchange(data[:6], InterchangeConfig(k=6), params)
     assert stats.stop_reason == "converged"
+
+
+def _repeated_rows():
+    # 261 rows drawn from 82 distinct points
+    rng = np.random.default_rng(216)
+    base = rng.uniform(0, 5, size=(82, 2))
+    return base[rng.integers(0, len(base), size=261)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("data, eps, k", [
+    pytest.param(DATASETS["duplicated"], 0.4, 20, id="duplicated-k20"),
+    pytest.param(DATASETS["duplicated"], 0.5, 33, id="duplicated-k33"),
+    pytest.param(_repeated_rows(), 0.5, 33, id="repeated-k33"),
+])
+def test_duplicated_points_converge(mode, data, eps, k):
+    # rounding noise in the responsibilities of two members at the same
+    # coordinates must not count as a replacement, or passes never stop
+    cfg = InterchangeConfig(k=k, seed=5, mode=mode, passes=60)
+    _, stats = run_interchange(data, cfg, make_params(eps))
+    assert stats.stop_reason == "converged"
+    assert stats.passes_run <= 10
+
+
+def test_shrink_evicts_newest_over_a_member_at_its_coordinates():
+    state = ResponsibilitySet(2, make_params(1.0), "es")
+    state.expand((0.0, 0.0))
+    state.expand((0.3, 0.0))
+    state.expand((0.3, 0.0))
+    # make the older copy the strict maximum, as rounding noise can
+    state.rsp[1] = np.nextafter(state.rsp[2], np.inf)
+    assert not state.shrink()
+    assert state.n == 2 and state.order[1] == 1
 
 
 @pytest.mark.parametrize(
