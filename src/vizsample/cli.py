@@ -32,7 +32,10 @@ def _params_for(data, epsilon, cutoff):
         epsilon = default_epsilon(data).epsilon
     if cutoff is not None and cutoff < epsilon:
         raise _UsageError(f"--cutoff {cutoff:g} is below epsilon {epsilon:g}")
-    return make_params(epsilon, cutoff)
+    try:
+        return make_params(epsilon, cutoff)
+    except ValueError as exc:  # an --epsilon whose 1/eps^2 overflows
+        raise _UsageError(str(exc)) from None
 
 
 def _checked(kind, ok, what: str):

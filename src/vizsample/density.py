@@ -22,16 +22,9 @@ def attach_counts(sample_points: np.ndarray, data: np.ndarray) -> np.ndarray:
     if k == 0:
         raise EmptySampleError("cannot attach counts to an empty sample")
 
-    # Sized from sample and data together, the grid (about sqrt(K) cells a
-    # side) bounds every ring walk; a tiny sample alone could need ~1e10.
+    # About sqrt(K) / 1.5 cells along the diagonal of sample and data: a few
+    # members a cell, so each query cell's block amortizes its numpy calls.
     lo, hi = bounding_box(np.vstack((sample, data)))
     diag = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
-    cell = diag / max(1.0, np.sqrt(k)) if diag > 0 else 1.0
-    index = GridIndex(cell, sample)
-    for i in range(k):
-        index.insert(i)
-
-    counts = np.zeros(k, dtype=np.int64)
-    for p in data:
-        counts[index.nearest_neighbor(p)] += 1
-    return counts
+    cell = 1.5 * diag / max(1.0, np.sqrt(k)) if diag > 0 else 1.0
+    return np.bincount(GridIndex(cell, sample, fill=True).nearest_neighbor(data), minlength=k)

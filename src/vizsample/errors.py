@@ -9,6 +9,10 @@ class ZeroExtentError(VizSampleError):
     """All points coincide; no bandwidth can be derived."""
 
 
+class ExtentRangeError(VizSampleError):
+    """The data's extent is outside what a float64 bandwidth can express."""
+
+
 class EmptyIndexError(VizSampleError):
     """A query requires a non-empty spatial index."""
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroExtentError
+from .errors import ExtentRangeError, ZeroExtentError
 
 # Distance (in units of epsilon) beyond which pair weights are treated as
 # zero by locality-accelerated paths.  kappa at 4*eps is ~1.12e-7 and
@@ -62,8 +62,12 @@ class KernelParams:
     cutoff_radius: float
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValueError(f"epsilon must be a finite positive real, got {self.epsilon}")
+        try:  # 1/eps**2 raises when eps**2 overflows or underflows to 0
+            usable = 0 < self.epsilon < np.inf and np.isfinite(self.inv_eps2)
+        except ArithmeticError:
+            usable = False
+        if not usable:
+            raise ValueError(f"epsilon must be a positive real with a finite 1/eps^2, got {self.epsilon}")
         if not np.isfinite(self.cutoff_radius) or self.cutoff_radius < self.epsilon:
             raise ValueError(
                 f"cutoff_radius must be finite and >= epsilon, got {self.cutoff_radius}"
@@ -225,17 +229,21 @@ def default_epsilon(points: np.ndarray, cutoff_factor: float = DEFAULT_CUTOFF_FA
 
     The diagonal over-estimates the max pairwise distance by at most sqrt(2)
     and avoids the O(n^2) exact computation.  Raises ``ZeroExtentError`` when
-    all points coincide.
+    all points coincide, ``ExtentRangeError`` when eps has no finite 1/eps^2.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         raise ZeroExtentError("need at least 2 points to derive a bandwidth")
     lo, hi = bounding_box(pts)
-    diag = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
+    with np.errstate(over="ignore"):
+        diag = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
     if diag == 0.0:
         raise ZeroExtentError("all points coincide; specify epsilon explicitly")
     eps = diag / 100.0
-    return KernelParams(epsilon=eps, cutoff_radius=cutoff_factor * eps)
+    try:
+        return KernelParams(epsilon=eps, cutoff_radius=cutoff_factor * eps)
+    except ValueError as exc:
+        raise ExtentRangeError(f"no bandwidth from a bounding-box diagonal of {diag:g}: {exc}") from None
 
 
 def make_params(epsilon: float, cutoff_radius: float | None = None) -> KernelParams:

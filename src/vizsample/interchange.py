@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,10 @@ from .quality import surrogate_objective
 from .spatial import GridIndex
 
 MODES = ("noes", "es", "esloc")
+
+# Most passes of an ``until_converged`` run.  Exact ties between points can
+# keep a run swapping members on rounding noise forever.
+PASS_CAP = 100
 
 # Most pair cells in one ``reject_run`` block; batching needs room for at
 # least 8 candidate rows, so it runs only for K <= 1024.
@@ -74,15 +79,28 @@ class InterchangeConfig:
 
 @dataclass
 class RunStats:
+    """What a run did.  ``final_objective`` (untruncated) and ``max_drift``
+    (the largest relative drift a recompute saw, a final one included) are
+    O(K^2) passes over the finished ``state``, run on first read; so
+    ``wall_time`` leaves them out."""
+
     points_seen: int = 0
     replacements: int = 0
-    final_objective: float = 0.0
     wall_time: float = 0.0
     passes_run: int = 0
-    max_drift: float = 0.0
-    stop_reason: str = ""  # "converged", "passes" or "time_budget"
+    stop_reason: str = ""  # "converged", "passes", "pass_cap" or "time_budget"
     batch_rejects: int = 0  # candidates settled by ``reject_run``, not ``step``
     objective_trace: list[float] = field(default_factory=list)
+    drift: float = 0.0  # largest drift of the recomputes during the stream
+    state: ResponsibilitySet | None = field(default=None, repr=False)
+
+    @cached_property
+    def final_objective(self) -> float:
+        return self.state.exact_objective() if self.state else 0.0
+
+    @cached_property
+    def max_drift(self) -> float:  # K = N streams nothing: no final recompute
+        return max(self.drift, self.state.recompute()) if self.state and self.passes_run else self.drift
 
 
 class ResponsibilitySet:
@@ -295,8 +313,9 @@ def run_interchange(
     ``step``, or, in a run of rejections, through a ``reject_run`` block as
     long as the run so far (at most ``REJECT_BLOCK_CELLS // K`` rows, none
     past the next recompute).  Passes repeat over the same order and stop
-    early when a full pass makes no replacement; the time budget is checked
-    after every step or block.
+    early when a full pass makes no replacement, ``until_converged`` after at
+    most ``PASS_CAP`` passes; the time budget is checked after every step or
+    block.
     """
     data = np.asarray(data, dtype=float).reshape(-1, 2)
     n = len(data)
@@ -315,14 +334,13 @@ def run_interchange(
     for i in order[: cfg.k]:
         state.expand(data[i], int(i))
 
-    stats = RunStats(points_seen=cfg.k)
+    stats = RunStats(points_seen=cfg.k, state=state)
     if cfg.k == n:
         stats.stop_reason = "converged"
-        stats.final_objective = state.exact_objective()
         stats.wall_time = time.perf_counter() - t0
         return _to_sample(state), stats
 
-    max_passes = 10**9 if cfg.until_converged else cfg.passes
+    max_passes = PASS_CAP if cfg.until_converged else cfg.passes
     # rows of one reject_run block; 0 keeps every candidate on ``step``
     rows = REJECT_BLOCK_CELLS // cfg.k
     if cfg.mode == "noes" or cfg.record_trace or rows < 8:
@@ -374,7 +392,7 @@ def run_interchange(
                 since_recompute += 1
                 pos += 1
             if since_recompute >= cfg.recompute_interval:
-                stats.max_drift = max(stats.max_drift, state.recompute())
+                stats.drift = max(stats.drift, state.recompute())
                 since_recompute = 0
             if cfg.time_budget_secs is not None and time.perf_counter() - t0 > cfg.time_budget_secs:
                 out_of_time = True
@@ -388,10 +406,7 @@ def run_interchange(
             stats.stop_reason = "converged"
             break
     else:
-        stats.stop_reason = "passes"
-
-    stats.max_drift = max(stats.max_drift, state.recompute())
-    stats.final_objective = state.exact_objective()
+        stats.stop_reason = "pass_cap" if cfg.until_converged else "passes"
     stats.wall_time = time.perf_counter() - t0
     return _to_sample(state), stats
 

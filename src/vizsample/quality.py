@@ -82,32 +82,38 @@ def draw_domain_points(
     data: np.ndarray, n_points: int, seed: int, domain_radius: float
 ) -> np.ndarray:
     """Seeded uniform points in the data bounding box, kept only when within
-    ``domain_radius`` of some dataset point, until ``n_points`` are accepted."""
+    ``domain_radius`` of some dataset point, until ``n_points`` are accepted.
+
+    Points are drawn in batches of ``max(256, n_points)``, and tested 1, 2,
+    4, ... batches at a time (at most 2**16 points): the same draws, in one
+    membership query each."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     data = np.ascontiguousarray(data, dtype=float).reshape(-1, 2)
     lo, hi = bounding_box(data)
     rng = np.random.default_rng(seed)
-    index = GridIndex(max(domain_radius, 1e-300), data)
-    for i in range(len(data)):
-        index.insert(i)
+    # with cells of r/3, a data point in the 3x3 cells around a draw accepts
+    # it unmeasured; the floor keeps every cell key within 2**40
+    cell = max(domain_radius / 3, float(np.abs(data).max()) * 2.0**-40) or 1.0
+    index = GridIndex(cell, data, fill=True)
 
     accepted: list[np.ndarray] = []
-    drawn = 0
+    taken = drawn = 0
     batch = max(256, n_points)
-    while len(accepted) < n_points:
-        qs = rng.uniform(lo, hi, size=(batch, 2))
-        drawn += batch
-        for q in qs:
-            if index.any_within_radius(q, domain_radius):
-                accepted.append(q)
-                if len(accepted) == n_points:
-                    break
-        if drawn >= 1_000_000 and len(accepted) / drawn < _ACCEPT_FLOOR:
-            raise DomainRejectionError(
-                f"acceptance rate {len(accepted)}/{drawn} below {_ACCEPT_FLOOR}"
-            )
-    return np.array(accepted)
+    runs = 1
+    while taken < n_points:
+        qs = rng.uniform(lo, hi, size=(runs, batch, 2))
+        hits = index.any_within_radius(qs.reshape(-1, 2), domain_radius).reshape(runs, batch)
+        for q, hit in zip(qs, hits):
+            drawn += batch
+            accepted.append(q[hit])
+            taken = min(taken + len(accepted[-1]), n_points)
+            if drawn >= 1_000_000 and taken / drawn < _ACCEPT_FLOOR:
+                raise DomainRejectionError(f"acceptance rate {taken}/{drawn} below {_ACCEPT_FLOOR}")
+            if taken == n_points:
+                break
+        runs = min(2 * runs, max(1, 2**16 // batch))
+    return np.concatenate(accepted)[:n_points]
 
 
 def _stat(losses: np.ndarray, stat: str) -> float:

@@ -178,6 +178,9 @@ def test_usage_error_exits_2():
         ["gen", "--n", "5", "--cov", "nan"],
         ["sample", "--k", "3", "--time-budget-secs", "nan"],
         ["sample", "--k", "3", "--time-budget-secs", "-1"],
+        ["sample", "--k", "3", "--epsilon", "1e-160"],  # 1/eps^2 overflows
+        ["sample", "--k", "3", "--epsilon", "1e-300"],  # eps^2 underflows to 0
+        ["evaluate", "--epsilon", "1e200"],  # eps^2 overflows
     ],
 )
 def test_out_of_range_flag_exits_2_without_traceback(argv, dataset, tmp_path, capsys):
@@ -214,3 +217,27 @@ def test_one_row_input_exits_1(command, tmp_path, capsys, monkeypatch):
     assert "error: need at least 2 points, got 1" in err
     assert "Traceback" not in err
     assert not (tmp_path / "model.lp").exists()
+
+
+@pytest.mark.parametrize("method", ["vas", "uniform", "stratified"])
+def test_overflowing_bounding_box_exits_1(method, tmp_path, capsys):
+    data = tmp_path / "wide.csv"
+    data.write_text("x,y\n1.7e308,0\n-1.7e308,0\n")
+    out = tmp_path / "o.csv"
+    rc = main(["sample", "--input", str(data), "--output", str(out), "--k", "1", "--method", method])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: no bandwidth from a bounding-box diagonal of inf" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_tiny_domain_radius_exits_1(tmp_path, capsys):
+    # cells of 1e-300 would put 1e9 at cell 1e309
+    data = tmp_path / "far.csv"
+    data.write_text("x,y\n1e9,0\n0,1e9\n")
+    rc = main(["evaluate", "--data", str(data), "--sample", str(data), "--domain-radius", "1e-300"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: acceptance rate 0/1000000 below" in err
+    assert "Traceback" not in err

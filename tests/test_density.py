@@ -76,3 +76,13 @@ def test_tiny_sample_extent_with_distant_data_point():
     counts = attach_counts(sample, data)
     assert counts.tolist() == [0, 1]
     assert np.array_equal(counts, nearest_oracle(sample, data))
+
+
+@pytest.mark.parametrize("seed, k", [(21, 1), (22, 40), (23, 600)])
+def test_matches_oracle_on_clustered_data(seed, k):
+    # blobs, duplicated data rows and lattice ties against a sample of data rows
+    rng = np.random.default_rng(seed)
+    blobs = rng.normal(0, 0.3, size=(3000, 2)) + rng.integers(0, 3, size=(3000, 1)) * 4.0
+    data = np.vstack((blobs, np.round(blobs[:500]), blobs[:200]))
+    sample = data[rng.choice(len(data), size=k, replace=False)]
+    assert np.array_equal(attach_counts(sample, data), nearest_oracle(sample, data))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from itertools import combinations
 
@@ -394,6 +395,18 @@ def test_stop_reasons():
     assert stats.passes_run == 1 and stats.points_seen < len(data)
     _, stats = run_interchange(data[:6], InterchangeConfig(k=6), params)
     assert stats.stop_reason == "converged"
+
+
+def test_until_converged_stops_at_the_pass_cap(monkeypatch):
+    # esloc swaps lattice members with symmetric neighbourhoods on rounding
+    # noise and never converges on this run; es does
+    monkeypatch.setattr(interchange, "PASS_CAP", 12)
+    data = DATASETS["lattice"]
+    cfg = InterchangeConfig(k=20, seed=0, mode="esloc", until_converged=True)
+    _, stats = run_interchange(data, cfg, make_params(0.4))
+    assert stats.stop_reason == "pass_cap" and stats.passes_run == 12
+    _, stats = run_interchange(data, dataclasses.replace(cfg, mode="es"), make_params(0.4))
+    assert stats.stop_reason == "converged" and stats.passes_run < 12
 
 
 def _repeated_rows():

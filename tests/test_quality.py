@@ -77,6 +77,42 @@ def test_draw_domain_points_seeded_and_inside_domain():
         assert np.min(np.square(data - q).sum(axis=1)) <= 1.0**2 * (1 + 1e-12)
 
 
+def per_point_domain_points(data, n_points, seed, domain_radius):
+    """The batch-by-batch, point-by-point rejection loop, with a linear scan."""
+    rng = np.random.default_rng(seed)
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    accepted, drawn, batch = [], 0, max(256, n_points)
+    while len(accepted) < n_points:
+        qs = rng.uniform(lo, hi, size=(batch, 2))
+        drawn += batch
+        for q in qs:
+            if (np.square(data - q).sum(axis=1) <= domain_radius * domain_radius).any():
+                accepted.append(q)
+                if len(accepted) == n_points:
+                    break
+        assert not (drawn >= 1_000_000 and len(accepted) / drawn < 1e-6)
+    return np.array(accepted)
+
+
+@pytest.mark.parametrize("kind, n_points, seed, radius", [
+    ("uniform", 300, 17, 1.0),
+    ("uniform", 40, 3, 0.05),  # low acceptance: many batches
+    ("lattice", 700, 8, 0.5),  # n_points above the 256-point batch
+    ("lattice", 5, 1, 1.0),
+    ("coincident", 20, 2, 0.0),  # a zero-extent box: every draw is the point
+])
+def test_draw_domain_points_matches_per_point_loop(kind, n_points, seed, radius):
+    rng = np.random.default_rng(31)
+    data = {
+        "uniform": rng.uniform(0, 10, size=(200, 2)),
+        "lattice": rng.integers(0, 6, size=(30, 2)).astype(float),
+        "coincident": np.full((4, 2), 2.5),
+    }[kind]
+    got = draw_domain_points(data, n_points, seed, radius)
+    want = per_point_domain_points(data, n_points, seed, radius)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_draw_domain_points_rejects_hopeless_domain():
     # two far-apart points with a tiny acceptance region
     data = np.array([[0.0, 0.0], [1e6, 1e6]])

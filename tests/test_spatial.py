@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vizsample.errors import EmptyIndexError
 from vizsample.spatial import GridIndex
@@ -139,3 +141,132 @@ def test_thousand_random_nearest_queries():
         d = math.dist(q, live[nn]) * (1 + 1e-12)
         assert nn in idx.within_radius(q, d)
         assert idx.any_within_radius(q, d)
+
+
+# -- whole-array queries against the linear scan -------------------------------
+
+def full_index(cell, pts):
+    return GridIndex(cell, np.ascontiguousarray(pts, dtype=float), fill=True)
+
+
+def scan_nearest_all(pts, qs):
+    d2 = np.square(qs[:, None, :] - pts[None]).sum(axis=2)
+    return np.array([int(np.flatnonzero(row == row.min())[0]) for row in d2])
+
+
+def scan_any_all(pts, qs, r):
+    return (np.square(qs[:, None, :] - pts[None]).sum(axis=2) <= r * r).any(axis=1)
+
+
+coords = st.floats(-50, 50, allow_nan=False)
+lattice = st.integers(-4, 4).map(float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pts=st.lists(st.tuples(lattice, lattice), min_size=1, max_size=30),
+    qs=st.lists(st.tuples(coords, coords) | st.tuples(lattice, lattice), min_size=1, max_size=30),
+    cell=st.sampled_from([0.3, 1.0, 7.0, 1e3]),
+)
+def test_batched_nearest_matches_scan_on_lattice_ties(pts, qs, cell):
+    # integer points give exact distance ties and duplicated members; queries
+    # far outside the members' box come from the wide coordinate range
+    pts, qs = np.array(pts), np.array(qs)
+    got = full_index(cell, pts).nearest_neighbor(qs)
+    assert got.dtype == np.int64
+    assert got.tolist() == scan_nearest_all(pts, qs).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pts=st.lists(st.tuples(coords, coords), min_size=1, max_size=30),
+    qs=st.lists(st.tuples(coords, coords), min_size=0, max_size=30),
+    r=st.sampled_from([0.0, 1e-300, 1e-9, 0.5, 3.0, 40.0, 1e300]),
+    cell=st.sampled_from([0.05, 1.0, 25.0]),
+)
+def test_batched_membership_matches_scan(pts, qs, r, cell):
+    pts, qs = np.array(pts), np.array(qs).reshape(-1, 2)
+    idx = full_index(cell, pts)
+    got = idx.any_within_radius(qs, r)
+    assert got.dtype == bool
+    assert got.tolist() == scan_any_all(pts, qs, r).tolist()
+    # each member is at distance 0 from itself, and about r from itself + (r, 0)
+    assert idx.any_within_radius(pts, 0.0).all()
+    if r < 1e100:
+        shifted = pts + [r, 0.0]
+        assert idx.any_within_radius(shifted, r).tolist() == scan_any_all(pts, shifted, r).tolist()
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("cell", [1 / 3, 1.0, 4.0])
+def test_batched_membership_at_exactly_r(r, cell):
+    # integer points and centres: many squared distances equal r*r exactly
+    rng = np.random.default_rng(40)
+    pts = rng.integers(0, 12, size=(25, 2)).astype(float)
+    qs = np.stack(np.meshgrid(np.arange(-3.0, 15.0), np.arange(-3.0, 15.0)), axis=-1).reshape(-1, 2)
+    assert full_index(cell, pts).any_within_radius(qs, r).tolist() == scan_any_all(pts, qs, r).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 50])
+def test_batched_nearest_single_cell_and_far_queries(k):
+    # every member in one cell, queries spread around it and far away
+    rng = np.random.default_rng(k)
+    pts = rng.uniform(0, 1e-3, size=(k, 2))
+    qs = np.vstack([rng.uniform(-5, 5, size=(300, 2)), [[1e12, -1e12], [-3e15, 0.0]]])
+    for cell in (1.0, 1e-9):
+        assert full_index(cell, pts).nearest_neighbor(qs).tolist() == scan_nearest_all(pts, qs).tolist()
+
+
+def test_batched_queries_use_live_ids_only():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
+    idx = GridIndex(1.0, pts)
+    for i in (1, 2, 3):
+        idx.insert(i)
+    idx.remove(2)
+    qs = np.array([[0.0, 0.0], [5.0, 5.0], [8.0, 8.0]])
+    assert idx.nearest_neighbor(qs).tolist() == [1, 3, 3]
+    assert idx.any_within_radius(qs, 1.0).tolist() == [True, False, False]
+    assert idx.nearest_neighbor(np.empty((0, 2))).tolist() == []
+    assert idx.any_within_radius(np.empty((0, 2)), 1.0).tolist() == []
+    with pytest.raises(ValueError):
+        idx.nearest_neighbor([np.nan, 0.0])
+
+
+def test_fill_builds_the_buckets_of_inserts_in_id_order():
+    pts = np.random.default_rng(4).integers(-3, 3, size=(40, 2)).astype(float)
+    grown = GridIndex(0.7, pts)
+    for i in range(len(pts)):
+        grown.insert(i)
+    assert full_index(0.7, pts)._cells == grown._cells
+
+
+def test_batched_nearest_blocks_stay_bounded():
+    # all 2000 members in one cell, 1000 queries in another: one window
+    # holds every member, and its block is split by rows
+    pts = np.random.default_rng(8).uniform(0, 1e-6, size=(2000, 2))
+    qs = np.random.default_rng(9).uniform(0.5, 0.5 + 1e-6, size=(1000, 2))
+    got = full_index(1.0, pts).nearest_neighbor(qs)
+    assert got.tolist() == scan_nearest_all(pts, qs).tolist()
+
+
+@pytest.mark.parametrize("cell", [1 / 3, 1 / 2, 0.1])
+def test_batched_membership_many_centres(cell):
+    # the Monte-Carlo setting: sparse points, cells a fraction of r = 1, and
+    # centres anywhere in the box, near and far from every point
+    rng = np.random.default_rng(int(cell * 30))
+    pts = rng.uniform(0, 10, size=(200, 2))
+    qs = rng.uniform(-1, 11, size=(20_000, 2))
+    got = full_index(cell, pts).any_within_radius(qs, 1.0)
+    assert got.tolist() == scan_any_all(pts, qs, 1.0).tolist()
+
+
+def test_batched_queries_on_huge_coordinates():
+    # squared distances overflow to inf: the scan's ties, and no error
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-1, 1, size=(40, 2)) * 1e300
+    qs = np.vstack([rng.uniform(-1, 1, size=(60, 2)) * 1.7e308, pts[:5]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx = full_index(1e299, pts)
+        assert idx.nearest_neighbor(qs).tolist() == scan_nearest_all(pts, qs).tolist()
+        for r in (1e299, 1e308):
+            assert idx.any_within_radius(qs, r).tolist() == scan_any_all(pts, qs, r).tolist()
