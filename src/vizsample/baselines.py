@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Sample
-from .errors import EmptyDatasetError, InsufficientDataError, KTooLargeError
+from .errors import EmptyDatasetError, ExtentRangeError, InsufficientDataError, KTooLargeError
 from .geometry import bounding_box
 
 
@@ -82,14 +82,6 @@ def balanced_allocation(bin_counts, k: int) -> list[int]:
     return quotas
 
 
-def _cell_of(p, lo, width_x, width_y, g: int) -> int:
-    ix = int((p[0] - lo[0]) / width_x) if width_x > 0 else 0
-    iy = int((p[1] - lo[1]) / width_y) if width_y > 0 else 0
-    ix = min(max(ix, 0), g - 1)
-    iy = min(max(iy, 0), g - 1)
-    return iy * g + ix
-
-
 def stratified_sample(data: np.ndarray, cfg: StratifiedConfig) -> Sample:
     """Two-pass stratified sample over a g-by-g grid of the bounding box."""
     data = np.asarray(data, dtype=float).reshape(-1, 2)
@@ -100,10 +92,13 @@ def stratified_sample(data: np.ndarray, cfg: StratifiedConfig) -> Sample:
         raise KTooLargeError(f"k={cfg.k} exceeds dataset size {n}")
     g = cfg.grid_cells_per_axis
     lo, hi = bounding_box(data)
-    wx = (hi[0] - lo[0]) / g
-    wy = (hi[1] - lo[1]) / g
-
-    cells = np.array([_cell_of(p, lo, wx, wy, g) for p in data], dtype=np.int64)
+    with np.errstate(over="ignore"):
+        width = (hi - lo) / g
+    if not np.isfinite(width).all():
+        raise ExtentRangeError("no stratified grid over a bounding box wider than float64 can span")
+    # column and row of each point; an axis of zero width is one column
+    c = np.clip(((data - lo) / np.where(width > 0, width, 1.0)).astype(np.int64), 0, g - 1)
+    cells = c[:, 1] * g + c[:, 0]
     counts = np.bincount(cells, minlength=g * g)
     nonempty = np.flatnonzero(counts)  # row-major cell order
     quotas_ne = balanced_allocation(counts[nonempty].tolist(), cfg.k)

@@ -22,9 +22,11 @@ def attach_counts(sample_points: np.ndarray, data: np.ndarray) -> np.ndarray:
     if k == 0:
         raise EmptySampleError("cannot attach counts to an empty sample")
 
-    # About sqrt(K) / 1.5 cells along the diagonal of sample and data: a few
-    # members a cell, so each query cell's block amortizes its numpy calls.
+    # About sqrt(K) / 1.5 cells, at least 3, along the diagonal of sample and
+    # data: a few members a cell.  Corners divided first keep it finite.
     lo, hi = bounding_box(np.vstack((sample, data)))
-    diag = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
-    cell = 1.5 * diag / max(1.0, np.sqrt(k)) if diag > 0 else 1.0
-    return np.bincount(GridIndex(cell, sample, fill=True).nearest_neighbor(data), minlength=k)
+    cells = max(3.0, np.sqrt(k) / 1.5)
+    cell = float(np.hypot(*(hi / cells - lo / cells))) or 1.0
+    with np.errstate(over="ignore"):  # squared distances past float64 tie at inf
+        nearest = GridIndex(cell, sample).nearest_neighbor(data)
+    return np.bincount(nearest, minlength=k)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dataio import Sample
 from .errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
-from .geometry import KernelParams, gauss, kernel_blocks, sq_distances
+from .geometry import KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
 from .quality import surrogate_objective
 from .spatial import GridIndex
 
@@ -110,9 +110,11 @@ class ResponsibilitySet:
     and ``shrink``.  In ``esloc`` mode a grid index over the members is kept
     in sync; its ids are slots, relabelled in place when a removal moves the
     last slot, so the cell order of its members is their insertion order.
+    ``box`` (lo, hi) is the region the points come from, which sizes that
+    grid; points outside it are still found, in the grid's edge cells.
     """
 
-    def __init__(self, k: int, params: KernelParams, mode: str = "es"):
+    def __init__(self, k: int, params: KernelParams, mode: str = "es", box=((0.0, 0.0), (0.0, 0.0))):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         cap = k + 1
@@ -127,7 +129,7 @@ class ResponsibilitySet:
         self._seq = 0
         self.last_removed_src = -1
         self._inv = params.inv_2eps2
-        self.index = GridIndex(params.cutoff_radius, self.pts) if mode == "esloc" else None
+        self.index = GridIndex(params.cutoff_radius, self.pts, box) if mode == "esloc" else None
         # contributions of the most recent expand: (slot array, weight array)
         self._last_slots: np.ndarray | None = None
         self._last_contrib: np.ndarray | None = None
@@ -330,7 +332,7 @@ def run_interchange(
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(n) if cfg.shuffle else np.arange(n)
 
-    state = ResponsibilitySet(cfg.k, params, cfg.mode)
+    state = ResponsibilitySet(cfg.k, params, cfg.mode, bounding_box(data))
     for i in order[: cfg.k]:
         state.expand(data[i], int(i))
 

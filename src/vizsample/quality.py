@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainRejectionError, EmptySampleError
+from .errors import DomainRejectionError, EmptySampleError, ExtentRangeError
 from .geometry import KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
 from .spatial import GridIndex
 
@@ -91,11 +91,12 @@ def draw_domain_points(
         raise ValueError("n_points must be >= 1")
     data = np.ascontiguousarray(data, dtype=float).reshape(-1, 2)
     lo, hi = bounding_box(data)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo).all():
+            raise ExtentRangeError("no uniform draws in a bounding box wider than float64 can span")
     rng = np.random.default_rng(seed)
-    # with cells of r/3, a data point in the 3x3 cells around a draw accepts
-    # it unmeasured; the floor keeps every cell key within 2**40
-    cell = max(domain_radius / 3, float(np.abs(data).max()) * 2.0**-40) or 1.0
-    index = GridIndex(cell, data, fill=True)
+    # with cells of r/3, a point in the 3x3 cells around a draw accepts it
+    index = GridIndex(domain_radius / 3 or 1.0, data)
 
     accepted: list[np.ndarray] = []
     taken = drawn = 0

@@ -232,6 +232,37 @@ def test_overflowing_bounding_box_exits_1(method, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["vas", "uniform", "stratified"])
+def test_overflowing_bounding_box_with_epsilon(method, tmp_path, capsys):
+    # with --epsilon no bandwidth comes from the box; the density pass still
+    # sizes its cells from it, and the stratified grid divides it
+    data = tmp_path / "wide.csv"
+    data.write_text("x,y\n1.7e308,0\n-1.7e308,0\n")
+    out = tmp_path / "o.csv"
+    argv = ["sample", "--input", str(data), "--output", str(out), "--k", "1", "--epsilon", "1", "--density"]
+    rc = main([*argv, "--method", method])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if method == "stratified":
+        assert rc == 1
+        assert "error: no stratified grid over a bounding box wider than float64 can span" in err
+    else:
+        assert rc == 0
+        # one member: the scan charges both rows to it
+        assert read_sample_csv(out).counts.tolist() == [2]
+
+
+def test_evaluate_on_an_overflowing_bounding_box_exits_1(tmp_path, capsys):
+    data = tmp_path / "wide.csv"
+    data.write_text("x,y\n1.7e308,0\n-1.7e308,0\n")
+    rc = main(["evaluate", "--data", str(data), "--sample", str(data), "--epsilon", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: no uniform draws in a bounding box wider than float64 can span" in err
+    assert "Traceback" not in err
+
+
 def test_tiny_domain_radius_exits_1(tmp_path, capsys):
     # cells of 1e-300 would put 1e9 at cell 1e309
     data = tmp_path / "far.csv"

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 from itertools import combinations
@@ -310,7 +309,8 @@ def test_batched_rejection_matches_per_step_run(mode, kind, interval, monkeypatc
 
 def _state_record(state):
     n = state.n
-    grid = None if state.index is None else copy.deepcopy(state.index._cells)
+    index = state.index
+    grid = None if index is None else (index.ids[: index.starts[-1]].tobytes(), index.starts.tobytes())
     return (
         state.pts[:n].tobytes(),
         state.rsp[:n].tobytes(),

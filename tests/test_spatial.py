@@ -22,9 +22,11 @@ def scan_nearest(points: dict, q):
 
 
 def grid_over(cell, rows):
-    """An index over ten rows, with ``rows`` (id -> point) inserted in turn."""
+    """An index over ten rows, on the box of ``rows`` (id -> point), with them
+    inserted in turn."""
     pts = np.zeros((10, 2))
-    idx = GridIndex(cell, pts)
+    corners = np.array(list(rows.values()), dtype=float)
+    idx = GridIndex(cell, pts, (corners.min(axis=0), corners.max(axis=0)))
     for i, p in rows.items():
         pts[i] = p
         idx.insert(i)
@@ -46,7 +48,7 @@ def test_rejects_non_float64_rows():
 def test_remove_then_queries():
     idx = grid_over(1.0, {1: (0, 0), 2: (3, 3)})
     idx.remove(1)
-    assert idx.nearest_neighbor((0, 0)) == 2
+    assert idx.nearest_neighbor([(0, 0)]).tolist() == [2]
     assert idx.within_radius((0, 0), 10).tolist() == [2]
     assert idx.d2.tolist() == [18.0]
 
@@ -61,48 +63,59 @@ def test_relabel_keeps_query_order():
 def test_within_radius_empty_and_boundary():
     idx = grid_over(1.0, {3: (1, 1), 4: (1, 3)})
     assert idx.within_radius((9, 9), 5).tolist() == []
-    assert not idx.any_within_radius((9, 9), 5)
+    assert idx.any_within_radius([(9, 9)], 5).tolist() == [False]
     # closed ball: r = 0 at the exact location still matches
     assert idx.within_radius((1, 1), 0.0).tolist() == [3]
-    assert idx.any_within_radius((1, 1), 0.0)
+    assert idx.any_within_radius([(1, 1)], 0.0).tolist() == [True]
     # boundary distance exactly r is included
     assert sorted(idx.within_radius((1, 1), 2.0).tolist()) == [3, 4]
-    assert idx.any_within_radius((1, 5), 2.0)
+    assert idx.any_within_radius([(1, 5)], 2.0).tolist() == [True]
 
 
 def test_nearest_single_and_tie_rule():
-    assert grid_over(1.0, {5: (9, 9)}).nearest_neighbor((0, 0)) == 5
-    assert grid_over(1.0, {7: (1, 0), 3: (-1, 0)}).nearest_neighbor((0, 0)) == 3
+    assert grid_over(1.0, {5: (9, 9)}).nearest_neighbor([(0, 0)]).tolist() == [5]
+    assert grid_over(1.0, {7: (1, 0), 3: (-1, 0)}).nearest_neighbor([(0, 0)]).tolist() == [3]
 
 
 def test_nearest_on_empty_index():
     with pytest.raises(EmptyIndexError):
-        GridIndex(1.0, np.zeros((0, 2))).nearest_neighbor((0, 0))
+        GridIndex(1.0, np.zeros((0, 2))).nearest_neighbor([(0, 0)])
     idx = grid_over(1.0, {0: (0, 0)})
     idx.remove(0)
     with pytest.raises(EmptyIndexError):
-        idx.nearest_neighbor((0, 0))
+        idx.nearest_neighbor([(0, 0)])
 
 
 @pytest.mark.parametrize("cell", [0.05, 0.7, 3.0])
 def test_random_workload_matches_linear_scan(cell):
+    # rows and queries reach past the box, so the edge cells hold rows too
     rng = np.random.default_rng(20240 + int(cell * 10))
     pts = np.full((600, 2), np.nan)
-    idx = GridIndex(cell, pts)
+    lo, hi = np.array([-3.0, -2.0]), np.array([3.0, 4.0])
+    idx = GridIndex(cell, pts, (lo, hi))
+    edges = np.floor(lo / idx.cell) - 1, np.floor(hi / idx.cell) + 1
     live: dict[int, tuple[float, float]] = {}
+    seq: dict[int, int] = {}  # insertion number of each live id
     free = list(range(len(pts)))
-    for _ in range(600):
+
+    def place(i):
+        """(column, row, insertion) of live id i: the within_radius order."""
+        col, row = np.clip(np.floor(np.array(live[i]) / idx.cell), *edges)
+        return col, row, seq[i]
+
+    for t in range(600):
         op = rng.random()
         if op < 0.55 or not live:
             i = free.pop(int(rng.integers(len(free))))
             pts[i] = rng.uniform(-5, 5, size=2)
             idx.insert(i)
             live[i] = tuple(pts[i])
+            seq[i] = t
         elif op < 0.65:
             victim = int(rng.choice(list(live)))
             idx.remove(victim)
             pts[victim] = np.nan
-            del live[victim]
+            del live[victim], seq[victim]
             free.append(victim)
         elif op < 0.75:
             old = int(rng.choice(list(live)))
@@ -111,42 +124,42 @@ def test_random_workload_matches_linear_scan(cell):
             idx.relabel(old, new)
             pts[old] = np.nan
             live[new] = live.pop(old)
+            seq[new] = seq.pop(old)
             free.append(old)
         else:
             q = tuple(rng.uniform(-6, 6, size=2))
             r = float(rng.uniform(0, 4))
             got = idx.within_radius(q, r)
-            want = scan_within(live, q, r)
-            assert sorted(got.tolist()) == want
+            assert got.tolist() == sorted(scan_within(live, q, r), key=place)
             dx = [live[i][0] - q[0] for i in got]
             dy = [live[i][1] - q[1] for i in got]
             assert idx.d2.tolist() == [a * a + b * b for a, b in zip(dx, dy)]
-            assert idx.any_within_radius(q, r) == bool(want)
-            assert idx.nearest_neighbor(q) == scan_nearest(live, q)
+            qs = np.vstack([q, rng.uniform(-7, 7, size=(5, 2))])
+            assert idx.any_within_radius(qs, r).tolist() == [bool(scan_within(live, x, r)) for x in qs]
+            assert idx.nearest_neighbor(qs).tolist() == [scan_nearest(live, x) for x in qs]
 
 
 def test_thousand_random_nearest_queries():
     rng = np.random.default_rng(99)
     pts = rng.uniform(0, 10, size=(300, 2))
-    idx = GridIndex(0.8, pts)
+    idx = GridIndex(0.8, pts, (pts.min(axis=0), pts.max(axis=0)))
     live = {}
     for i, p in enumerate(pts):
         idx.insert(i)
         live[i] = tuple(p)
-    for _ in range(1000):
-        q = tuple(rng.uniform(-1, 11, size=2))
-        nn = idx.nearest_neighbor(q)
+    qs = rng.uniform(-1, 11, size=(1000, 2))
+    for q, nn in zip(qs, idx.nearest_neighbor(qs).tolist()):
         assert nn == scan_nearest(live, q)
         # one-ulp slack: sqrt of the squared distance can round below it
         d = math.dist(q, live[nn]) * (1 + 1e-12)
         assert nn in idx.within_radius(q, d)
-        assert idx.any_within_radius(q, d)
+        assert idx.any_within_radius(q[None], d).tolist() == [True]
 
 
 # -- whole-array queries against the linear scan -------------------------------
 
 def full_index(cell, pts):
-    return GridIndex(cell, np.ascontiguousarray(pts, dtype=float), fill=True)
+    return GridIndex(cell, np.ascontiguousarray(pts, dtype=float))
 
 
 def scan_nearest_all(pts, qs):
@@ -218,8 +231,9 @@ def test_batched_nearest_single_cell_and_far_queries(k):
 
 
 def test_batched_queries_use_live_ids_only():
+    # rows 2 and 3 lie outside the box, in its edge cells
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
-    idx = GridIndex(1.0, pts)
+    idx = GridIndex(1.0, pts, ((0.0, 0.0), (1.0, 1.0)))
     for i in (1, 2, 3):
         idx.insert(i)
     idx.remove(2)
@@ -229,15 +243,24 @@ def test_batched_queries_use_live_ids_only():
     assert idx.nearest_neighbor(np.empty((0, 2))).tolist() == []
     assert idx.any_within_radius(np.empty((0, 2)), 1.0).tolist() == []
     with pytest.raises(ValueError):
-        idx.nearest_neighbor([np.nan, 0.0])
+        idx.nearest_neighbor([[np.nan, 0.0]])
+    with pytest.raises(ValueError):  # one point is a (1, 2) array
+        idx.nearest_neighbor([0.0, 0.0])
 
 
 def test_fill_builds_the_buckets_of_inserts_in_id_order():
-    pts = np.random.default_rng(4).integers(-3, 3, size=(40, 2)).astype(float)
-    grown = GridIndex(0.7, pts)
+    # an index over every row holds what inserting them in id order builds
+    rng = np.random.default_rng(4)
+    pts = rng.integers(-3, 3, size=(40, 2)).astype(float)
+    grown = GridIndex(0.7, pts, (pts.min(axis=0), pts.max(axis=0)))
     for i in range(len(pts)):
         grown.insert(i)
-    assert full_index(0.7, pts)._cells == grown._cells
+    full = full_index(0.7, pts)
+    assert full.ids.tolist() == grown.ids.tolist()
+    assert full.starts.tolist() == grown.starts.tolist()
+    for i in rng.permutation(len(pts)).tolist():
+        full.remove(i)
+    assert not full.starts.any()
 
 
 def test_batched_nearest_blocks_stay_bounded():
