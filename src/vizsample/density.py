@@ -27,6 +27,4 @@ def attach_counts(sample_points: np.ndarray, data: np.ndarray) -> np.ndarray:
     lo, hi = bounding_box(np.vstack((sample, data)))
     cells = max(3.0, np.sqrt(k) / 1.5)
     cell = float(np.hypot(*(hi / cells - lo / cells))) or 1.0
-    with np.errstate(over="ignore"):  # squared distances past float64 tie at inf
-        nearest = GridIndex(cell, sample).nearest_neighbor(data)
-    return np.bincount(nearest, minlength=k)
+    return np.bincount(GridIndex(cell, sample).nearest_neighbor(data), minlength=k)

@@ -7,24 +7,24 @@ Two kernel forms appear throughout the package:
 - ``kappa_tilde(a, b) = exp(-||a - b||^2 / (2 eps^2))`` -- the pairwise weight
   minimized by the subset-selection objective.
 
-Both are symmetric, lie in (0, 1], and satisfy
-``kappa_tilde = sqrt(kappa)`` for the same bandwidth.
+Both are symmetric, lie in [0, 1], and satisfy
+``kappa_tilde = sqrt(kappa)`` for the same bandwidth, where neither is
+truncated.
 
 Every kernel value in the package is ``gauss(sq_distances(a, b), inv)``,
 with the exponent scale ``KernelParams.inv_eps2`` (kappa) or
-``KernelParams.inv_2eps2`` (kappa_tilde).  Dense pair sums over many points
-walk ``kernel_blocks``: the same values, one tile of ``BLOCK_CELLS`` = 2**16
-pair cells at a time, in buffers that the next tile reuses.  A 512 KiB
-float64 tile stays in L2; the 16 MiB blocks of 2**21 cells did not, and a
-fresh buffer per block page-faults.  Large blocks also keep every lane on
-numpy's fast ``exp`` path, bitwise: ``exp`` costs ~1.4 ns per lane above
--700, ~160 ns in the subnormal band (-745.13, -708) and ~23 ns below it,
-where it is 0.0; in ``point_losses`` over the stream-12k benchmark data 57%
-of the lanes lie below -708.
+``KernelParams.inv_2eps2`` (kappa_tilde).  It is 0 where the exponent
+passes ``EXP_FLOOR``: the pair sums drop weights below e**-700, as the
+paper's locality cutoff drops those past it.  Dense pair sums over many
+points walk ``kernel_blocks``: the same values, one tile of ``BLOCK_CELLS``
+= 2**16 pair cells at a time, in buffers that the next tile reuses.  A
+512 KiB float64 tile stays in L2; the 16 MiB blocks of 2**21 cells did
+not, and a fresh buffer per block page-faults.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,21 +37,17 @@ from .errors import ExtentRangeError, ZeroExtentError
 DEFAULT_CUTOFF_FACTOR = 4.0
 
 # Most pair cells (rows x columns) in one kernel tile: 512 KiB per float64
-# buffer, so a tile's two float64 and two bool buffers (1.1 MiB) stay in a
+# buffer, so a tile's two float64 buffers and its bool mask (1.1 MiB) stay in a
 # 2 MiB L2.  Timing point_losses, surrogate_objective and recompute at the
 # benchmark shapes (2-core Xeon VM, numpy 2.4), 2**15 and 2**16 tied; against
 # them 2**17 took 15% longer, 2**18 35%, 2**14 13% and 2**13 50% (per-tile
 # call overhead).
 BLOCK_CELLS = 1 << 16
 
-# Fast-path exp bounds (cost bands in the module docstring): the exponent is
-# clamped at FAST_EXP_FLOOR, above which numpy's exp stays fast, and lanes at
-# or below EXP_ZERO_BELOW, where exp rounds to 0.0 (from -745.1332191019411
-# down), are zeroed.  Blocks under FAST_EXP_MIN_CELLS are not worth the fast
-# path's fixed cost of about eight ufunc calls.
-FAST_EXP_FLOOR = -700.0
-EXP_ZERO_BELOW = -745.2
-FAST_EXP_MIN_CELLS = 1 << 12
+# Exponent below which a kernel value is 0: e**-700 ~ 9.9e-305, so a sum
+# above about 1e-283 loses nothing to the dropped lanes.  kappa is 0 beyond
+# 26.5 eps and kappa_tilde beyond 37.4 eps.
+EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -96,82 +92,39 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def gauss(d2: np.ndarray, inv: float, cutoff2: float | None = None) -> np.ndarray:
-    """Gaussian kernel exp(-d2 * inv) of squared distances ``d2``; zero where
-    ``d2`` exceeds ``cutoff2``.  Bitwise equal to ``np.exp(d2 * -inv)`` with
-    the lanes beyond the cutoff zeroed afterwards.
+def gauss(d2: np.ndarray, inv: float, cutoff2: float | None = None, w=None, keep=None) -> np.ndarray:
+    """Gaussian kernel exp(-d2 * inv) of squared distances ``d2``: bitwise
+    ``np.exp(d2 * -inv)`` where ``d2`` is within the reach, 0 beyond it.
 
-    Blocks of ``FAST_EXP_MIN_CELLS`` or more go through ``_exp_block``.  A
-    smaller one, such as the optimizer's per-step row, is not worth its
-    fixed cost: it takes the plain ``exp``, with the exponent clamped at the
-    cutoff (lanes inside the cutoff keep their value: rounding is monotone)."""
-    w = d2 * -inv
-    if w.size >= FAST_EXP_MIN_CELLS:
-        _exp_block(w, d2, inv, cutoff2)
-    elif cutoff2 is None:
-        np.exp(w, w)  # positional ``out``: a little less call overhead
-    else:
-        np.maximum(w, -cutoff2 * inv, out=w)
-        np.exp(w, w)
-        np.putmask(w, d2 > cutoff2, 0.0)
+    The reach is ``cutoff2``, or less where the exponent passes
+    ``EXP_FLOOR``; it is unbounded when ``inv`` is 0.  The exponent is
+    clamped at the reach, which keeps every lane on numpy's fast ``exp``
+    (rounding is monotone, so no lane within the reach moves), and the
+    lanes beyond it are zeroed by a multiply with the in-reach mask.
+    ``w`` (float) and ``keep`` (bool), shaped like ``d2``, are optional
+    buffers for the result and the mask."""
+    reach2 = math.inf if cutoff2 is None else cutoff2
+    if inv:
+        reach2 = min(reach2, -EXP_FLOOR / inv)
+    w = np.multiply(d2, -inv, w)
+    if reach2 < math.inf:
+        np.maximum(w, -reach2 * inv, out=w)
+    np.exp(w, w)
+    w *= np.less_equal(d2, reach2, keep)
     return w
 
 
-def _exp_block(w, d2, inv: float, cutoff2: float | None, keep=None, band=None) -> None:
-    """Turn the block ``w = d2 * -inv`` into ``gauss(d2, inv, cutoff2)`` in
-    place; ``keep`` and ``band`` are optional bool buffers shaped like ``w``.
-
-    A cutoff at or inside ``-FAST_EXP_FLOOR`` bounds the exponent by itself,
-    so the exponent is clamped there; otherwise ``_exp_fast`` runs.  Lanes
-    beyond the cutoff are zeroed by a multiply with the in-cutoff mask,
-    which, unlike a masked write, does not branch per lane."""
-    if cutoff2 is not None and cutoff2 * inv <= -FAST_EXP_FLOOR:
-        np.maximum(w, -cutoff2 * inv, out=w)
-        np.exp(w, w)
-    else:
-        _exp_fast(w, keep, band)
-    if cutoff2 is not None:
-        w *= np.less_equal(d2, cutoff2, out=keep)
-
-
-def _exp_fast(w: np.ndarray, keep=None, band=None) -> None:
-    """``np.exp(w, out=w)``, bitwise, with every lane on the fast path: the
-    exponent is clamped at ``FAST_EXP_FLOOR``, lanes at or below
-    ``EXP_ZERO_BELOW`` (where ``exp`` is exactly 0.0) are zeroed by a
-    multiply, and the few lanes in between get ``exp`` of their own value."""
-    keep = np.greater_equal(w, FAST_EXP_FLOOR, out=keep)
-    band = np.greater(w, EXP_ZERO_BELOW, out=band)
-    band ^= keep
-    slow = w[band] if band.any() else None
-    np.maximum(w, FAST_EXP_FLOOR, out=w)
-    np.exp(w, out=w)
-    w *= keep
-    if slow is not None:
-        w[band] = np.exp(slow)
-
-
-def _block_rows(n: int, rows: int | None) -> int:
-    return rows or max(1, BLOCK_CELLS // max(1, n))
-
-
-def row_blocks(m: int, n: int, rows: int | None = None):
-    """Slices over the m rows of an (m, n) pair grid, ``rows`` at a time;
-    by default as many as fit in ``BLOCK_CELLS`` (at least one)."""
-    step = _block_rows(n, rows)
+def row_blocks(m: int, n: int):
+    """Slices over the m rows of an (m, n) pair grid, as many rows at a time
+    as fit in ``BLOCK_CELLS`` (at least one)."""
+    step = max(1, BLOCK_CELLS // max(1, n))
     for i0 in range(0, m, step):
         yield slice(i0, min(i0 + step, m))
 
 
-def kernel_blocks(
-    a: np.ndarray,
-    b: np.ndarray,
-    inv: float,
-    cutoff2: float | None = None,
-    rows: int | None = None,
-    upper: bool = False,
-):
+def kernel_blocks(a: np.ndarray, b: np.ndarray, inv: float, cutoff2: float | None = None, upper: bool = False):
     """``(s, gauss(sq_distances(a[s], b), inv, cutoff2))`` for each row block
-    ``s`` of ``row_blocks(len(a), len(b), rows)``; bitwise the same values.
+    ``s`` of ``row_blocks(len(a), len(b))``; bitwise the same values.
 
     With ``upper`` (``b`` is ``a``) a block holds only the columns j >= s.start
     and its entries with j <= i are zeroed, so it sums the unordered pairs
@@ -183,20 +136,19 @@ def kernel_blocks(
     m, n = len(a), len(b)
     bx = np.ascontiguousarray(b[:, 0])
     by = np.ascontiguousarray(b[:, 1])
-    cells = min(m, _block_rows(n, rows)) * n
-    bufs = (np.empty(cells), np.empty(cells), np.empty(cells, bool), np.empty(cells, bool))
-    for s in row_blocks(m, n, rows):
+    cells = min(m * n, max(n, BLOCK_CELLS))
+    bufs = (np.empty(cells), np.empty(cells), np.empty(cells, bool))
+    for s in row_blocks(m, n):
         c0 = s.start if upper else 0
         shape = (s.stop - s.start, n - c0)
-        d2, w, keep, band = (x[: shape[0] * shape[1]].reshape(shape) for x in bufs)
+        d2, w, keep = (x[: shape[0] * shape[1]].reshape(shape) for x in bufs)
         # sq_distances' arithmetic, in the tile buffers
         np.subtract(a[s, 0, None], bx[c0:], out=d2)
         np.subtract(a[s, 1, None], by[c0:], out=w)
         d2 *= d2
         w *= w
         d2 += w
-        np.multiply(d2, -inv, out=w)
-        _exp_block(w, d2, inv, cutoff2, keep, band)
+        gauss(d2, inv, cutoff2, w, keep)
         if upper:
             for r in range(shape[0]):
                 w[r, : r + 1] = 0.0

@@ -110,6 +110,7 @@ class ResponsibilitySet:
     and ``shrink``.  In ``esloc`` mode a grid index over the members is kept
     in sync; its ids are slots, relabelled in place when a removal moves the
     last slot, so the cell order of its members is their insertion order.
+    The K+1-th entry joins the grid only when ``shrink`` evicts another.
     ``box`` (lo, hi) is the region the points come from, which sizes that
     grid; points outside it are still found, in the grid's edge cells.
     """
@@ -129,6 +130,8 @@ class ResponsibilitySet:
         self._seq = 0
         self.last_removed_src = -1
         self._inv = params.inv_2eps2
+        # squared cutoff of ``esloc``; inf where it overflows: every pair in reach
+        self._cutoff2 = params.cutoff_radius * params.cutoff_radius if mode == "esloc" else None
         self.index = GridIndex(params.cutoff_radius, self.pts, box) if mode == "esloc" else None
         # contributions of the most recent expand: (slot array, weight array)
         self._last_slots: np.ndarray | None = None
@@ -182,7 +185,7 @@ class ResponsibilitySet:
         self.rsp[slot] = float(contrib.sum())
         self.order[slot] = self._seq
         self.src[slot] = source_index
-        if self.index is not None:
+        if self.index is not None and slot < self.k:
             self.index.insert(slot)
         self._seq += 1
         self.n += 1
@@ -209,7 +212,10 @@ class ResponsibilitySet:
         if j != newest_slot and self.pts[j].tolist() == self.pts[newest_slot].tolist():
             j = newest_slot
 
-        if j == newest_slot and self._last_slots is not None:
+        replaced = j != newest_slot
+        if replaced and self.index is not None:
+            self.index.insert(newest_slot)  # the newest stays: it joins the grid now
+        if not replaced and self._last_slots is not None:
             slots, contrib = self._last_slots, self._last_contrib
         else:
             slots, contrib = self._weights_to(self.pts[j])
@@ -219,7 +225,6 @@ class ResponsibilitySet:
         if len(slots):
             self.rsp[slots] -= contrib
 
-        replaced = j != newest_slot
         self._remove_slot(j)
         self._last_slots = None
         self._last_contrib = None
@@ -228,9 +233,9 @@ class ResponsibilitySet:
     def _remove_slot(self, j: int) -> None:
         last = self.n - 1
         self.last_removed_src = int(self.src[j])
-        if self.index is not None:
-            self.index.remove(j)
-        if j != last:
+        if j != last:  # else j is the newest, which is not in the grid
+            if self.index is not None:
+                self.index.remove(j)
             self.pts[j] = self.pts[last]
             self.rsp[j] = self.rsp[last]
             self.order[j] = self.order[last]
@@ -255,10 +260,9 @@ class ResponsibilitySet:
         The state is left as L such steps leave it: each row's weights are
         added to the responsibilities and subtracted again (the rounding of
         that round trip is kept), the insertion counter advances by L, and
-        the grid, where the newest point would be appended and removed, is
-        untouched.  A row is settled when its weight sum, less a 1e-9
-        relative margin, exceeds the largest member responsibility after
-        its weights are added.  The margin covers the block summing the
+        the grid, which the newest point never joins, is untouched.  A row
+        is settled when its weight sum, less a 1e-9 relative margin, exceeds
+        the largest member responsibility after its weights are added.  The margin covers the block summing the
         weights in slot order where ``step`` sums them in cell order; their
         difference is below n * 2**-53 relative.  Each row is checked against
         the responsibilities the rows before it left, not those at entry:
@@ -270,8 +274,7 @@ class ResponsibilitySet:
         if self.n != self.k:
             raise ValueError("reject_run requires a set at rest (|R| = K)")
         n = self.n
-        cutoff2 = self.params.cutoff_radius**2 if self.mode == "esloc" else None
-        w = gauss(sq_distances(cands, self.pts[:n]), self._inv, cutoff2)
+        w = gauss(sq_distances(cands, self.pts[:n]), self._inv, self._cutoff2)
         clear = w.sum(axis=1)
         clear *= 1.0 - 1e-9
         rsp = self.rsp[:n]
@@ -293,9 +296,8 @@ class ResponsibilitySet:
         if n == 0:
             return 0.0
         pts = self.pts[:n]
-        cutoff2 = self.params.cutoff_radius**2 if self.mode == "esloc" else None
         fresh = np.empty(n)
-        for s, w in kernel_blocks(pts, pts, self._inv, cutoff2):
+        for s, w in kernel_blocks(pts, pts, self._inv, self._cutoff2):
             rows = np.arange(s.stop - s.start)
             w[rows, rows + s.start] = 0.0
             fresh[s] = w.sum(axis=1)

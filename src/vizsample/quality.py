@@ -45,21 +45,19 @@ class QualityReport:
         return "\n".join(f"{k}={v!r}" for k, v in asdict(self).items())
 
 
-def surrogate_objective(points: np.ndarray, params: KernelParams, chunk: int | None = None) -> float:
-    """Sum of kappa_tilde over unordered pairs; 0 for a singleton.
-
-    Walks ``chunk`` rows at a time (default: the ``BLOCK_CELLS`` budget) so
-    large samples do not materialize the full pair matrix.
-    """
+def surrogate_objective(points: np.ndarray, params: KernelParams) -> float:
+    """Sum of kappa_tilde over unordered pairs; 0 for a singleton.  Walks
+    ``kernel_blocks``, so large samples never materialize the pair matrix."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 1:
         raise EmptySampleError("objective of an empty sample")
-    blocks = kernel_blocks(pts, pts, params.inv_2eps2, rows=chunk, upper=True)
+    blocks = kernel_blocks(pts, pts, params.inv_2eps2, upper=True)
     return float(sum(w.sum() for _, w in blocks))
 
 
 def point_loss(x, sample_points: np.ndarray, params: KernelParams) -> float:
-    """Quality degradation 1 / sum_i kappa(x, s_i); inf when the sum underflows."""
+    """Quality degradation 1 / sum_i kappa(x, s_i); inf when the sum is 0,
+    which it is when every kappa(x, s_i) is below e**-700 (``EXP_FLOOR``)."""
     return float(point_losses(np.asarray(x, dtype=float).reshape(1, 2), sample_points, params)[0])
 
 

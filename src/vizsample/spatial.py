@@ -137,7 +137,9 @@ class GridIndex:
         for rows, cell in _groups(cells, np.flatnonzero(near & ~hit)):
             ids = self._window(np.floor(cell - reach), np.floor(cell + 1 + reach))
             for s in row_blocks(len(rows), len(ids)):
-                hit[rows[s]] = (sq_distances(qs[rows[s]], self.pts[ids]) <= r * r).any(axis=1)
+                with np.errstate(over="ignore"):  # an overflow to inf is out of reach
+                    d2 = sq_distances(qs[rows[s]], self.pts[ids])
+                hit[rows[s]] = (d2 <= r * r).any(axis=1)
         return hit
 
     def nearest_neighbor(self, queries) -> np.ndarray:
@@ -159,7 +161,8 @@ class GridIndex:
                     continue
                 best = np.empty(len(rows))
                 for s in row_blocks(len(rows), len(ids)):
-                    d2 = sq_distances(qs[rows[s]], self.pts[ids])
+                    with np.errstate(over="ignore"):  # overflows tie at inf, as in a scan
+                        d2 = sq_distances(qs[rows[s]], self.pts[ids])
                     best[s] = d2.min(axis=1)
                     out[rows[s]] = np.where(d2 == best[s, None], ids, len(self.pts)).min(axis=1)
                 # a point outside the window is more than ``ring`` cells away

@@ -272,3 +272,39 @@ def test_tiny_domain_radius_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: acceptance rate 0/1000000 below" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["noes", "es", "esloc"])
+@pytest.mark.parametrize("flags", [["--epsilon", "1", "--cutoff", "1e200"], ["--epsilon", "1.2e154"]])
+def test_huge_cutoff_samples(flags, mode, tmp_path, capsys, monkeypatch):
+    # the squared cutoff overflows to inf (every pair in reach); at
+    # eps = 1.2e154, 2 eps^2 overflows too and every kappa_tilde is 1
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "200", "--seed", "4", "--output", "d.csv"]) == 0
+    rc = main(["sample", "--input", "d.csv", "--output", "s.csv", "--k", "20", "--mode", mode, *flags])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(read_sample_csv("s.csv").points) == 20
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_with_huge_epsilon(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "200", "--seed", "4", "--output", "d.csv"]) == 0
+    assert main(["sample", "--input", "d.csv", "--output", "s.csv", "--k", "20", "--method", "uniform"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--data", "d.csv", "--sample", "s.csv", "--epsilon", "1.2e154"]) == 0
+    # K = 20 members, all at weight 1 from each other
+    assert json.loads(capsys.readouterr().out)["surrogate_objective"] == 190.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_on_huge_coordinates_exits_1_without_warnings(tmp_path, capsys):
+    # squared distances of the domain test overflow to inf: out of reach
+    data = tmp_path / "big.csv"
+    data.write_text("x,y\n1e200,0\n-1e200,0\n0,1e200\n")
+    rc = main(["evaluate", "--data", str(data), "--sample", str(data), "--epsilon", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: acceptance rate 0/1000000 below 1e-06"]

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,13 @@ from vizsample.interchange import ResponsibilitySet
 from vizsample.quality import point_losses, surrogate_objective
 
 UNIT = make_params(1.0)
+# gauss is 0 where the exponent d2 * inv passes 700
+FLOOR = 700.0
+
+
+def reach2_of(inv, cutoff2):
+    """Squared distance past which gauss is 0 (inv > 0)."""
+    return FLOOR / inv if cutoff2 is None else min(cutoff2, FLOOR / inv)
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 points = st.tuples(coords, coords)
@@ -109,12 +118,13 @@ def test_kernel_params_validation():
 def test_gauss_matches_scalar_double_loop(a, b, eps, cutoff):
     inv = 1.0 / (2.0 * eps**2)
     cutoff2 = None if cutoff is None else cutoff**2
+    reach2 = reach2_of(inv, cutoff2)
     want = np.zeros((len(a), len(b)))
     for i, (ax, ay) in enumerate(a):
         for j, (bx, by) in enumerate(b):
             dx, dy = ax - bx, ay - by
             d2 = dx * dx + dy * dy
-            if cutoff2 is None or d2 <= cutoff2:
+            if d2 <= reach2:
                 want[i, j] = math.exp(-d2 * inv)
     A = np.array(a, dtype=float)
     B = np.array(b, dtype=float).reshape(-1, 2)
@@ -125,39 +135,69 @@ def test_gauss_matches_scalar_double_loop(a, b, eps, cutoff):
     assert np.array_equal(gauss(sq_distances(A[0], B), inv, cutoff2), got[0])
 
 
-# exponents d2 * inv (as positive numbers) where the kernel changes regime:
-# numpy's fast exp ends near 708, exp rounds to 0.0 from 745.1332191019411
-# on, and the fast path zeroes from EXP_ZERO_BELOW on
-_EDGE_EXPONENTS = [-geometry.FAST_EXP_FLOOR, 708.0, 745.1332191019411, -geometry.EXP_ZERO_BELOW]
+# exponents d2 * inv (as positive numbers) where exp changes regime: numpy's
+# fast exp ends near 708 and exp rounds to 0.0 from 745.1332191019411 on
+_EDGE_EXPONENTS = [708.0, 745.1332191019411]
 
 
 @pytest.mark.parametrize("cut_exponent", [None, 500.0, 720.0, 745.0, 760.0, 2000.0])
 def test_gauss_cutoff_clamp_is_bitwise_exact(cut_exponent):
     # exponents d2 * inv from 0 to 1500, through the subnormal band
-    # (-745, -708) and below it, plus lanes at and next to the fast-path
-    # bounds, the cutoff and -inf; blocks above and below FAST_EXP_MIN_CELLS,
-    # single-point (1-D) rows and empty rows
+    # (-745, -708) and below it, plus lanes at and next to the reach, the
+    # exp regime bounds and the cutoff, 0 and inf; 2-D blocks, single-point
+    # (1-D) rows and empty rows
     rng = np.random.default_rng(13)
     shapes = [(64, 100), (64, 50), (6000,), (50,), (0,), (64, 0)]
-    assert any(math.prod(sh) >= geometry.FAST_EXP_MIN_CELLS for sh in shapes)
     for inv in (0.37, 1.0):
         cutoff2 = None if cut_exponent is None else cut_exponent / inv
+        reach2 = reach2_of(inv, cutoff2)
         edges = [np.inf, 0.0]
-        for e in _EDGE_EXPONENTS + ([] if cutoff2 is None else [cut_exponent]):
-            edges += [np.nextafter(e / inv, 0), e / inv, np.nextafter(e / inv, np.inf)]
+        for d in [reach2] + [e / inv for e in _EDGE_EXPONENTS + ([] if cutoff2 is None else [cut_exponent])]:
+            edges += [np.nextafter(d, 0), d, np.nextafter(d, np.inf)]
         for shape in shapes:
             d2 = rng.uniform(0, 1500 / inv, size=shape)
             flat = d2.reshape(-1)
             flat[: len(edges)] = edges[: flat.size]
             want = np.exp(d2 * -inv)
-            if cutoff2 is not None:
-                want[d2 > cutoff2] = 0.0
+            want[d2 > reach2] = 0.0
             got = gauss(d2, inv, cutoff2)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (inv, shape)
             if flat.size >= 1000:
+                # exp is not 0 there, the floor makes it 0
                 e = flat * inv
-                assert ((e > 708) & (e < 745)).any() and (e > 745.2).any()
+                band = (e > FLOOR) & (e <= 745)
+                assert band.any() and not got.reshape(-1)[band].any()
+
+
+def test_gauss_without_exponent_scale_is_one_within_the_cutoff():
+    # 2 eps^2 overflows at eps = 1.2e154, so kappa_tilde's scale is 0: every
+    # lane is exp(-0.0) = 1, with no floor, and 0 past a finite cutoff only
+    d2 = np.array([0.0, 1.0, 1e300, 1.7e308])
+    for cutoff2 in (None, math.inf):
+        assert gauss(d2, 0.0, cutoff2).tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert gauss(d2, 0.0, 1e300).tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert gauss(d2[:, None] * 0.5, 0.0, 1.0).tolist() == [[1.0], [1.0], [0.0], [0.0]]
+
+
+def _exp_calls(node, where):
+    """``where`` (file, enclosing functions) of each exp-family call under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = (*where, node.name)
+    if isinstance(node, ast.Call):
+        f = node.func
+        if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in ("exp", "expm1", "exp2"):
+            yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _exp_calls(child, where)
+
+
+def test_exp_is_called_only_in_gauss():
+    # one kernel path: every kernel value in the package comes from gauss
+    calls = []
+    for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
+        calls += _exp_calls(ast.parse(path.read_text()), (path.name,))
+    assert calls == [("geometry.py", "gauss")]
 
 
 @pytest.mark.parametrize("cutoff", [None, 0.7, 40.0])
@@ -170,7 +210,7 @@ def test_kernel_blocks_match_gauss_per_block(monkeypatch, cutoff, upper):
     b = a if upper else rng.uniform(0, 30, size=(97, 2))
     inv = 0.5
     cutoff2 = None if cutoff is None else cutoff**2
-    monkeypatch.setattr(geometry, "BLOCK_CELLS", 4 * geometry.FAST_EXP_MIN_CELLS // 3)
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", 5461)
     blocks = list(geometry.kernel_blocks(a, b, inv, cutoff2, upper=upper))
     assert len(blocks) > 2 and blocks[-1][0].stop - blocks[-1][0].start < blocks[0][0].stop
     for s, w in geometry.kernel_blocks(a, b, inv, cutoff2, upper=upper):

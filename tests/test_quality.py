@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vizsample import geometry
 from vizsample.errors import DomainRejectionError, EmptySampleError
 from vizsample.geometry import kappa_tilde, make_params
 from vizsample.quality import (
@@ -40,12 +41,14 @@ def test_surrogate_objective_small_cases():
         surrogate_objective(np.empty((0, 2)), UNIT)
 
 
-def test_surrogate_objective_matches_pair_oracle_across_chunkings():
+def test_surrogate_objective_matches_pair_oracle_across_chunkings(monkeypatch):
     rng = np.random.default_rng(11)
     pts = rng.uniform(0, 4, size=(37, 2))
     want = pair_sum_oracle(pts, UNIT)
     for chunk in (1, 5, 37, 512):
-        assert surrogate_objective(pts, UNIT, chunk=chunk) == pytest.approx(want, rel=1e-12)
+        # tiles of ``chunk`` rows of the 37 columns
+        monkeypatch.setattr(geometry, "BLOCK_CELLS", chunk * 37)
+        assert surrogate_objective(pts, UNIT) == pytest.approx(want, rel=1e-12)
 
 
 def test_point_loss_closed_forms_and_inf():
