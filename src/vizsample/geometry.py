@@ -77,7 +77,7 @@ class KernelParams:
     @property
     def inv_2eps2(self) -> float:
         """Exponent scale 1/(2 eps^2) of ``kappa_tilde``."""
-        return 1.0 / (2.0 * self.epsilon**2)
+        return 0.5 * self.inv_eps2  # 2 eps^2 can overflow where eps^2 does not
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,11 +143,12 @@ def kernel_blocks(a: np.ndarray, b: np.ndarray, inv: float, cutoff2: float | Non
         shape = (s.stop - s.start, n - c0)
         d2, w, keep = (x[: shape[0] * shape[1]].reshape(shape) for x in bufs)
         # sq_distances' arithmetic, in the tile buffers
-        np.subtract(a[s, 0, None], bx[c0:], out=d2)
-        np.subtract(a[s, 1, None], by[c0:], out=w)
-        d2 *= d2
-        w *= w
-        d2 += w
+        with np.errstate(over="ignore"):  # an inf is out of every reach
+            np.subtract(a[s, 0, None], bx[c0:], out=d2)
+            np.subtract(a[s, 1, None], by[c0:], out=w)
+            d2 *= d2
+            w *= w
+            d2 += w
         gauss(d2, inv, cutoff2, w, keep)
         if upper:
             for r in range(shape[0]):

@@ -20,6 +20,10 @@ Three execution modes:
 ``noes`` and ``es`` produce identical samples on identical streams; ``esloc``
 differs only by per-pair truncation error.
 
+Seeding (``load``) copies the first K streamed points at once, sorts them
+into the ``esloc`` grid in one step and sums their responsibilities in one
+``recompute``, which in ``esloc`` walks only grid-cell neighbourhoods.
+
 Batched rejection (``es`` and ``esloc``): at small K almost every step
 evicts the point it just added.  ``run_interchange`` hands a run of upcoming
 candidates to ``ResponsibilitySet.reject_run``, which scores them against
@@ -244,6 +248,17 @@ class ResponsibilitySet:
                 self.index.relabel(last, j)
         self.n = last
 
+    def load(self, points: np.ndarray, sources: np.ndarray) -> None:
+        """Seed an empty set with up to K points, as one ``expand`` each would (up to rounding)."""
+        k = len(points)
+        if self.n or k > self.k:
+            raise ValueError("load fills an empty set with at most K points")
+        self.pts[:k], self.src[:k], self.order[:k] = points, sources, np.arange(k)
+        self.n = self._seq = k
+        if self.index is not None:
+            self.index.load(k)
+        self.recompute()
+
     def step(self, point, source_index: int = -1) -> bool:
         """Process one streamed point; returns True when it replaced a member."""
         if self.n != self.k:
@@ -290,31 +305,36 @@ class ResponsibilitySet:
         return settled
 
     def recompute(self) -> float:
-        """Recompute responsibilities from scratch (mode-consistent truncation);
-        returns the max relative drift of the stored values."""
+        """Recompute responsibilities from scratch (mode-consistent truncation;
+        ``esloc`` at rest sums over ``cell_windows``); returns the max drift."""
         n = self.n
         if n == 0:
             return 0.0
         pts = self.pts[:n]
         fresh = np.empty(n)
-        for s, w in kernel_blocks(pts, pts, self._inv, self._cutoff2):
-            rows = np.arange(s.stop - s.start)
-            w[rows, rows + s.start] = 0.0
-            fresh[s] = w.sum(axis=1)
+        gridded = self.index is not None and self.index.starts[-1] == n
+        groups = self.index.cell_windows(self.params.cutoff_radius) if gridded else [(np.arange(n),) * 2]
+        for rows, cols in groups:
+            off = int(np.flatnonzero(cols == rows[0])[0])  # rows = cols[off : off + len(rows)]
+            for s, w in kernel_blocks(pts[rows], pts[cols], self._inv, self._cutoff2):
+                lane = np.arange(s.stop - s.start)
+                w[lane, lane + off + s.start] = 0.0  # self weights: subtracting 1.0 would round
+                fresh[rows[s]] = w.sum(axis=1)
         scale = np.maximum(np.abs(fresh), 1e-300)
         drift = float(np.max(np.abs(self.rsp[:n] - fresh) / scale))
         self.rsp[:n] = fresh
         return drift
 
 
+@np.errstate(over="ignore")  # huge coordinates: an inf squared distance weighs 0
 def run_interchange(
     data: np.ndarray, cfg: InterchangeConfig, params: KernelParams
 ) -> tuple[Sample, RunStats]:
     """Run the streaming local search over ``data`` and return the sample.
 
     The state is seeded with the first K streamed points (after the optional
-    seeded shuffle of the stream order); every later point goes through one
-    ``step``, or, in a run of rejections, through a ``reject_run`` block as
+    seeded shuffle of the stream order) by one ``load``; every later point
+    goes through one ``step``, or, in a run of rejections, a ``reject_run`` block as
     long as the run so far (at most ``REJECT_BLOCK_CELLS // K`` rows, none
     past the next recompute).  Passes repeat over the same order and stop
     early when a full pass makes no replacement, ``until_converged`` after at
@@ -335,8 +355,7 @@ def run_interchange(
     order = rng.permutation(n) if cfg.shuffle else np.arange(n)
 
     state = ResponsibilitySet(cfg.k, params, cfg.mode, bounding_box(data))
-    for i in order[: cfg.k]:
-        state.expand(data[i], int(i))
+    state.load(data[order[: cfg.k]], order[: cfg.k])
 
     stats = RunStats(points_seen=cfg.k, state=state)
     if cfg.k == n:

@@ -1,10 +1,11 @@
 """Uniform grid over the rows of a caller-owned point array, in one CSR layout.
 
 ``GridIndex(cell_size, pts, box)`` indexes row ids of an (n, 2) float64
-array that the caller keeps: it writes row ``i`` before ``insert(i)``, calls
-``remove(i)`` before it overwrites that row, and copies a row to its new
-place before ``relabel``.  Without a ``box`` it holds every row, on their
-bounding box.  It keeps no copy of the points.
+array that the caller keeps: it writes row ``i`` before ``insert(i)`` (rows
+below n before ``load(n)``), calls ``remove(i)`` before it overwrites that
+row, and copies a row to its new place before ``relabel``.  Without a
+``box`` it holds every row, on their bounding box.  It keeps no copy of the
+points.
 
 ``ids`` lists the live ids sorted by (cell column, cell row, insertion); cell
 k = column * rows + row holds ``ids[starts[k]:starts[k + 1]]``.  Cells fall
@@ -13,9 +14,11 @@ more than min(GRID_SIDE, 2*sqrt(n) + 2) a side.  An edge cell on each side of
 the box holds the rows outside it; query cell ranges are clamped into the
 same range at both ends, which is monotone, so no query loses a row.
 
-Radius queries take one centre at a time (truncated pair-weight updates);
-membership and nearest-neighbor queries take an (m, 2) array (the
-Monte-Carlo domain test, the density pass) and loop over its occupied cells.
+Radius queries take one centre at a time (truncated pair-weight updates),
+or the members of each occupied cell at once (``cell_windows``, for the
+``esloc`` recompute); membership and nearest-neighbor queries take an (m, 2)
+array (the Monte-Carlo domain test, the density pass) and loop over its
+occupied cells.
 The ``sq_distances`` arithmetic decides every answer, so each is the linear
 scan's (see the tests).  Closed balls: squared distance <= r*r; nearest ties
 go to the smallest id; single writer, and readers are safe between mutations.
@@ -48,7 +51,7 @@ class GridIndex:
             raise ValueError(f"pts must be an (n, 2) float64 array, got {pts.dtype} {pts.shape}")
         self.pts = pts
         self._mv = memoryview(pts)
-        rows = pts if box is None else pts[:0]
+        n = len(pts) if box is None else 0
         if box is None:
             box = (pts.min(axis=0), pts.max(axis=0)) if len(pts) else np.zeros((2, 2))
         lo, hi = np.asarray(box, dtype=float)
@@ -61,15 +64,19 @@ class GridIndex:
         self._span = [(int(a), int(b)) for a, b in zip(self._lo[:, 0], self._hi[:, 0])]
         self.shape = (self._hi - self._lo)[:, 0].astype(np.intp) + 1
         self._ny = int(self.shape[1])
-        c = (np.floor(self._clamped(rows)) - self._lo).astype(np.intp)
+        self.load(n)
+        # squared distances of the last ``within_radius`` result, in its order
+        self.d2: np.ndarray | None = None
+
+    def load(self, n: int) -> None:
+        """Index rows 0..n-1 only, as ``insert(0)``, ..., ``insert(n - 1)`` would."""
+        c = (np.floor(self._clamped(self.pts[:n])) - self._lo).astype(np.intp)
         keys = c[0] * self._ny + c[1]
-        self.ids = np.zeros(len(pts), dtype=np.intp)
-        self.ids[: len(rows)] = np.argsort(keys, kind="stable")
+        self.ids = np.zeros(len(self.pts), dtype=np.intp)
+        self.ids[:n] = np.argsort(keys, kind="stable")
         self.starts = np.zeros(self.shape.prod() + 1, dtype=np.intp)
         np.cumsum(np.bincount(keys, minlength=self.shape.prod()), out=self.starts[1:])
         self._iv, self._sv = memoryview(self.ids), memoryview(self.starts)
-        # squared distances of the last ``within_radius`` result, in its order
-        self.d2: np.ndarray | None = None
 
     def _key(self, id_: int) -> int:
         (x0, x1), (y0, y1) = self._span
@@ -112,6 +119,16 @@ class GridIndex:
         keep = d2 <= r * r
         self.d2 = d2[keep]
         return slots[keep]
+
+    def cell_windows(self, r: float):
+        """(members, window) per occupied cell: its ids, and those of the cells
+        ``within_radius(p, r)`` scans for any member p, the members as one run."""
+        cells = np.flatnonzero(np.diff(self.starts))
+        a, b = self.starts[cells], self.starts[cells + 1]
+        xy = self.pts[self.ids[: self.starts[-1]]]
+        lo = np.floor((np.minimum.reduceat(xy, a) - r) / self.cell) - self._lo.T
+        hi = np.floor((np.maximum.reduceat(xy, a) + r) / self.cell) - self._lo.T
+        return ((self.ids[i:j], self._window(c0, c1)) for i, j, c0, c1 in zip(a.tolist(), b.tolist(), lo, hi))
 
     def any_within_radius(self, centers, r: float) -> np.ndarray:
         """Whether a live point lies within distance r of each of the (m, 2)

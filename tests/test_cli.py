@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vizsample.cli import main
-from vizsample.dataio import read_points_csv, read_sample_csv
+from vizsample.dataio import read_points_csv, read_sample_csv, write_points_csv
 
 
 @pytest.fixture()
@@ -297,6 +297,21 @@ def test_evaluate_with_huge_epsilon(tmp_path, capsys, monkeypatch):
     assert main(["evaluate", "--data", "d.csv", "--sample", "s.csv", "--epsilon", "1.2e154"]) == 0
     # K = 20 members, all at weight 1 from each other
     assert json.loads(capsys.readouterr().out)["surrogate_objective"] == 190.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["es", "esloc"])
+def test_huge_epsilon_on_huge_coordinates(mode, tmp_path, capsys, monkeypatch):
+    # squared distances overflow to inf and so does 2 eps^2: each pair
+    # weighs 0 (exp(-inf)), not nan (inf * 0)
+    monkeypatch.chdir(tmp_path)
+    write_points_csv(np.random.default_rng(8).uniform(-1, 1, size=(200, 2)) * 1e200, "d.csv")
+    rc = main(["sample", "--input", "d.csv", "--output", "s.csv", "--k", "20", "--mode", mode, "--epsilon", "1.2e154"])
+    assert rc == 0
+    assert len(np.unique(read_sample_csv("s.csv").points, axis=0)) == 20
+    capsys.readouterr()
+    assert main(["evaluate", "--data", "d.csv", "--sample", "s.csv", "--epsilon", "1.2e154"]) == 0
+    assert np.isfinite(json.loads(capsys.readouterr().out)["surrogate_objective"])
 
 
 @pytest.mark.filterwarnings("error")

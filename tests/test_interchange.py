@@ -7,7 +7,7 @@ import pytest
 
 from vizsample import interchange
 from vizsample.errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
-from vizsample.geometry import make_params
+from vizsample.geometry import bounding_box, kernel_blocks, make_params
 from vizsample.interchange import MODES, InterchangeConfig, ResponsibilitySet, run_interchange
 from vizsample.quality import surrogate_objective
 
@@ -319,6 +319,99 @@ def _state_record(state):
         state._seq,
         grid,
     )
+
+
+def _loaded(data, k, params, mode, box=None):
+    """State seeded by one ``load`` of data[:k], on ``box`` or the data's."""
+    state = ResponsibilitySet(k, params, mode, bounding_box(data) if box is None else box)
+    state.load(data[:k], np.arange(k))
+    return state
+
+
+def _dense_cutoff_rsp(pts, params):
+    """Oracle: responsibilities by the dense ``kernel_blocks`` walk, cut off."""
+    out = np.empty(len(pts))
+    for s, w in kernel_blocks(pts, pts, params.inv_2eps2, params.cutoff_radius * params.cutoff_radius):
+        rows = np.arange(s.start, s.stop)
+        w[rows - s.start, rows] = 0.0
+        out[s] = w.sum(axis=1)
+    return out
+
+
+CELL_CASES = {
+    "uniform": (DATASETS["uniform"], make_params(0.1), None),
+    "lattice": (DATASETS["lattice"], make_params(0.4), None),
+    "duplicated": (DATASETS["duplicated"], make_params(0.2), None),
+    # cells of 1 on the integer lattice: pairs at exactly the cutoff, across cell edges
+    "lattice-cutoff-is-cell": (DATASETS["lattice"], make_params(0.5, cutoff_radius=1.0), None),
+    # most rows lie outside the box, in its edge cells
+    "outside-box": (DATASETS["uniform"], make_params(0.15), ((1.5, 1.0), (2.5, 3.0))),
+    "cutoff-wider-than-box": (DATASETS["uniform"], make_params(3.0), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CELL_CASES))
+def test_esloc_recompute_matches_the_dense_cutoff_oracle(case):
+    data, params, box = CELL_CASES[case]
+    k = 250
+    state = _loaded(data, k, params, "esloc", box)
+    assert state.index.starts[-1] == k  # every slot in the grid: the cell path
+    if case == "lattice-cutoff-is-cell":
+        assert state.index.cell == 1.0
+    np.testing.assert_allclose(state.rsp[:k], _dense_cutoff_rsp(state.points, params), rtol=1e-12, atol=0)
+    # again after steps have evicted, moved and relabelled slots
+    for i, p in enumerate(data[k:], start=k):
+        state.step(p, i)
+    state.recompute()
+    np.testing.assert_allclose(state.rsp[:k], _dense_cutoff_rsp(state.points, params), rtol=1e-12, atol=0)
+
+
+def test_esloc_recompute_of_a_lone_point_is_zero():
+    state = _loaded(np.array([[0.5, 0.5]]), 1, UNIT, "esloc")
+    assert state.rsp[0] == 0.0
+    data = np.vstack([np.random.default_rng(91).uniform(0, 1, size=(30, 2)), [[50.0, 50.0]]])
+    state = _loaded(data, 31, make_params(0.5), "esloc")
+    assert state.rsp[30] == 0.0 and (state.rsp[:30] > 0).all()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", sorted(DATASETS))
+def test_load_leaves_the_state_of_k_expands(mode, kind):
+    data = DATASETS[kind]
+    order = np.random.default_rng(93).permutation(len(data))[:120]
+    params = make_params(0.4)
+    loaded = ResponsibilitySet(120, params, mode, bounding_box(data))
+    loaded.load(data[order], order)
+    expanded = ResponsibilitySet(120, params, mode, bounding_box(data))
+    for i in order:
+        expanded.expand(data[i], int(i))
+    a, b = _state_record(loaded), _state_record(expanded)
+    assert a[:1] + a[2:] == b[:1] + b[2:]  # all but the responsibilities
+    np.testing.assert_allclose(loaded.rsp[:120], expanded.rsp[:120], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_samples_match_an_expand_seeded_run(mode, monkeypatch):
+    cfg = InterchangeConfig(k=100, seed=3, mode=mode, passes=2)
+    loaded = run_interchange(DATASETS["uniform"], cfg, make_params(0.3))[0]
+
+    def expand_each(self, points, sources):
+        for p, i in zip(points, sources):
+            self.expand(p, int(i))
+
+    monkeypatch.setattr(ResponsibilitySet, "load", expand_each)
+    expanded = run_interchange(DATASETS["uniform"], cfg, make_params(0.3))[0]
+    assert loaded.source_indices.tobytes() == expanded.source_indices.tobytes()
+    assert loaded.points.tobytes() == expanded.points.tobytes()
+
+
+def test_load_needs_an_empty_set_and_at_most_k_points():
+    state = ResponsibilitySet(2, UNIT, "esloc")
+    with pytest.raises(ValueError):
+        state.load(np.zeros((3, 2)), np.arange(3))
+    state.load(np.zeros((2, 2)), np.arange(2))
+    with pytest.raises(ValueError):
+        state.load(np.zeros((1, 2)), np.arange(1))
 
 
 def _state_after(data, k, params, mode):
