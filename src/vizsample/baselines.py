@@ -38,13 +38,17 @@ def reservoir_sample(data: np.ndarray, k: int, seed: int = 0) -> Sample:
     if n == 0:
         raise EmptyDatasetError("cannot sample an empty dataset")
     rng = np.random.default_rng(seed)
-    chosen = list(range(min(k, n)))
-    for i in range(k, n):
-        j = int(rng.integers(0, i + 1))
-        if j < k:
-            chosen[j] = i
-    idx = np.array(chosen, dtype=np.int64)
+    # row i >= k draws its slot from [0, i]: one draw per row, in row order
+    slots = np.concatenate([np.arange(min(k, n)), rng.integers(0, np.arange(k + 1, n + 1))])
+    idx = _last_writes(slots, min(k, n))
     return Sample(points=data[idx], source_indices=idx, method="uniform")
+
+
+def _last_writes(keys: np.ndarray, size: int) -> np.ndarray:
+    """What a loop writing ``out[keys[i]] = i`` leaves in out[:size] (every
+    key below size occurs): where each of those keys last occurs."""
+    first = np.unique(keys[::-1], return_index=True)[1]
+    return len(keys) - 1 - first[:size]
 
 
 def balanced_allocation(bin_counts, k: int) -> list[int]:
@@ -105,21 +109,18 @@ def stratified_sample(data: np.ndarray, cfg: StratifiedConfig) -> Sample:
     quota = np.zeros(g * g, dtype=np.int64)
     quota[nonempty] = quotas_ne
 
-    rng = np.random.default_rng(cfg.seed)
-    reservoirs: list[list[int]] = [[] for _ in range(g * g)]
-    seen = np.zeros(g * g, dtype=np.int64)
-    for i in range(n):
-        c = cells[i]
-        q = quota[c]
-        if q == 0:
-            continue
-        seen[c] += 1
-        if len(reservoirs[c]) < q:
-            reservoirs[c].append(i)
-        else:
-            j = int(rng.integers(0, seen[c]))
-            if j < q:
-                reservoirs[c][j] = i
-
-    idx = np.array([i for res in reservoirs for i in res], dtype=np.int64)
+    # one reservoir per cell over its rows in row order: a row's rank in its
+    # cell is its reservoir's count before it; past the quota it draws its
+    # slot from [0, rank], and one outside the quota is dropped
+    rows = np.flatnonzero(quota[cells])
+    c = cells[rows]
+    by_cell = np.argsort(c, kind="stable")
+    rank = np.empty(len(c), dtype=np.int64)
+    rank[by_cell] = np.arange(len(c)) - np.searchsorted(c[by_cell], c[by_cell])
+    q = quota[c]
+    slot = rank.copy()
+    full = rank >= q
+    slot[full] = np.random.default_rng(cfg.seed).integers(0, rank[full] + 1)
+    keys = np.where(slot < q, np.cumsum(quota)[c] - q + slot, cfg.k)
+    idx = rows[_last_writes(keys, cfg.k)]
     return Sample(points=data[idx], source_indices=idx, method="stratified")

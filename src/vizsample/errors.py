@@ -38,6 +38,10 @@ class NoEdgesError(VizSampleError):
     """The input graph has no edges."""
 
 
+class LossRangeError(VizSampleError):
+    """The dataset's own loss is infinite in float64, so no loss ratio exists."""
+
+
 class DomainRejectionError(VizSampleError):
     """Rejection sampling acceptance rate fell below the safety floor."""
 

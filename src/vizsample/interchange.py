@@ -2,17 +2,19 @@
 
 The optimizer keeps the current sample together with one responsibility
 accumulator per member: the (unhalved) sum of pair weights to every other
-member.  Each incoming point is tentatively added (``expand``), then the
-member with the largest responsibility is evicted (``shrink``), which is
-equivalent to taking the best single replacement, or keeping the set when no
-replacement lowers the objective.
+member.  Each incoming point is scored against the members first: when it
+would itself carry the largest responsibility, no replacement lowers the
+objective and it is dropped, writing nothing.  Otherwise it is added
+(``expand``) and the member with the largest responsibility is evicted
+(``shrink``), which is equivalent to taking the best single replacement.
 
 Three execution modes:
 
-- ``noes``  -- reference path (the oracle for the other two): responsibilities
-  of the expanded set are recomputed from scratch (O(K^2) per point), then
-  the same eviction rule as ``es`` applies.
-- ``es``    -- incremental expand/shrink bookkeeping (O(K) per point).
+- ``noes``  -- reference path (the oracle for the other two): every point is
+  expanded, the responsibilities of the expanded set are recomputed from
+  scratch (O(K^2) per point), then ``shrink`` evicts.
+- ``es``    -- scored, then incremental expand/shrink bookkeeping (O(K) per
+  point).
 - ``esloc`` -- like ``es`` but pair weights beyond the cutoff radius are
   treated as zero, with a grid index over the member slots locating the
   affected members.
@@ -24,13 +26,11 @@ Seeding (``load``) copies the first K streamed points at once, sorts them
 into the ``esloc`` grid in one step and sums their responsibilities in one
 ``recompute``, which in ``esloc`` walks only grid-cell neighbourhoods.
 
-Batched rejection (``es`` and ``esloc``): at small K almost every step
-evicts the point it just added.  ``run_interchange`` hands a run of upcoming
-candidates to ``ResponsibilitySet.reject_run``, which scores them against
-all members in one kernel block and settles the leading ones that ``step``
-would evict at once, replaying the floating-point round trip ``step`` leaves
-on the responsibilities, so samples stay bit-identical.  The first candidate
-that is not clearly evicted goes through ``step``.
+Batched rejection (``es`` and ``esloc``): at small K almost every point is
+dropped.  ``run_interchange`` hands a block of upcoming candidates to
+``ResponsibilitySet.reject_run``, which scores them against all members in
+one kernel block and settles the leading ones that ``step`` would drop.  The
+first candidate that is not clearly dropped goes through ``step``.
 """
 
 from __future__ import annotations
@@ -137,9 +137,6 @@ class ResponsibilitySet:
         # squared cutoff of ``esloc``; inf where it overflows: every pair in reach
         self._cutoff2 = params.cutoff_radius * params.cutoff_radius if mode == "esloc" else None
         self.index = GridIndex(params.cutoff_radius, self.pts, box) if mode == "esloc" else None
-        # contributions of the most recent expand: (slot array, weight array)
-        self._last_slots: np.ndarray | None = None
-        self._last_contrib: np.ndarray | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -181,9 +178,11 @@ class ResponsibilitySet:
         if self.n > self.k:
             raise ValueError("expand on an already-expanded set")
         p = np.asarray(point, dtype=float)
-        slots, contrib = self._weights_to(p)
-        if len(slots):
-            self.rsp[slots] += contrib
+        self._append(p, source_index, *self._weights_to(p))
+
+    def _append(self, p: np.ndarray, source_index: int, slots: np.ndarray, contrib: np.ndarray) -> None:
+        """``expand`` with the weights of ``p`` in hand."""
+        self.rsp[slots] += contrib
         slot = self.n
         self.pts[slot] = p
         self.rsp[slot] = float(contrib.sum())
@@ -193,8 +192,6 @@ class ResponsibilitySet:
             self.index.insert(slot)
         self._seq += 1
         self.n += 1
-        self._last_slots = slots
-        self._last_contrib = contrib
 
     def shrink(self) -> bool:
         """Evict the max-responsibility entry (ties: most recently inserted).
@@ -208,10 +205,7 @@ class ResponsibilitySet:
         n = self.n
         if n != self.k + 1:
             raise ValueError("shrink requires an expanded set of size K+1")
-        rsp = self.rsp[:n]
-        m = rsp.max()
-        cand = np.flatnonzero(rsp == m)
-        j = int(cand[np.argmax(self.order[cand])])
+        j = self._top(self.rsp[:n])
         newest_slot = n - 1  # expand always appends
         if j != newest_slot and self.pts[j].tolist() == self.pts[newest_slot].tolist():
             j = newest_slot
@@ -219,20 +213,16 @@ class ResponsibilitySet:
         replaced = j != newest_slot
         if replaced and self.index is not None:
             self.index.insert(newest_slot)  # the newest stays: it joins the grid now
-        if not replaced and self._last_slots is not None:
-            slots, contrib = self._last_slots, self._last_contrib
-        else:
-            slots, contrib = self._weights_to(self.pts[j])
-            # exclude the entry itself (self-weight 1 at distance 0)
-            keep = slots != j
-            slots, contrib = slots[keep], contrib[keep]
-        if len(slots):
-            self.rsp[slots] -= contrib
-
+        slots, contrib = self._weights_to(self.pts[j])
+        keep = slots != j  # the entry itself, at weight 1
+        self.rsp[slots[keep]] -= contrib[keep]
         self._remove_slot(j)
-        self._last_slots = None
-        self._last_contrib = None
         return replaced
+
+    def _top(self, rsp: np.ndarray) -> int:
+        """Slot of the largest of the responsibilities ``rsp``, ties to the newest."""
+        cand = np.flatnonzero(rsp == rsp.max())
+        return int(cand[np.argmax(self.order[cand])])
 
     def _remove_slot(self, j: int) -> None:
         last = self.n - 1
@@ -260,47 +250,48 @@ class ResponsibilitySet:
         self.recompute()
 
     def step(self, point, source_index: int = -1) -> bool:
-        """Process one streamed point; returns True when it replaced a member."""
+        """Process one streamed point; returns True when it replaced a member.
+        ``es`` and ``esloc`` append and shrink only a replacement: a point
+        ``shrink`` would evict again moves nothing but the insertion counter."""
         if self.n != self.k:
             raise ValueError("step requires a set at rest (|R| = K)")
-        self.expand(point, source_index)
+        p = np.asarray(point, dtype=float)
         if self.mode == "noes":
+            self.expand(p, source_index)
             self.recompute()
+            return self.shrink()
+        slots, w = self._weights_to(p)
+        grown = self.rsp[: self.n].copy()
+        grown[slots] += w
+        if w.sum() >= grown.max() or self.pts[self._top(grown)].tolist() == p.tolist():
+            self._seq += 1
+            return False
+        self._append(p, source_index, slots, w)
         return self.shrink()
 
     def reject_run(self, cands: np.ndarray) -> int:
         """Settle the leading rows of ``cands`` (m, 2) that ``step`` would
-        expand and evict again at once; returns how many, L.
+        drop, all scored in one block against the same state; returns how
+        many, L, and moves the insertion counter by L, as L steps would.
 
-        The state is left as L such steps leave it: each row's weights are
-        added to the responsibilities and subtracted again (the rounding of
-        that round trip is kept), the insertion counter advances by L, and
-        the grid, which the newest point never joins, is untouched.  A row
-        is settled when its weight sum, less a 1e-9 relative margin, exceeds
-        the largest member responsibility after its weights are added.  The margin covers the block summing the
-        weights in slot order where ``step`` sums them in cell order; their
-        difference is below n * 2**-53 relative.  Each row is checked against
-        the responsibilities the rows before it left, not those at entry:
-        a round trip can move a small responsibility by ulp(weight), far
-        more than 1e-9 of it.
+        A row is settled when its weight sum, less a 1e-9 relative margin,
+        exceeds the largest member responsibility with its weights added:
+        the block sums in slot order, ``step`` in cell order, and the two
+        differ by less than n * 2**-53 relative.  A sum of at most one
+        nonzero weight has no rounding, so it is settled on a tie too.
         """
         if self.mode == "noes":
-            raise ValueError("reject_run replays es/esloc steps; noes recomputes")
+            raise ValueError("reject_run scores es/esloc steps; noes recomputes")
         if self.n != self.k:
             raise ValueError("reject_run requires a set at rest (|R| = K)")
         n = self.n
         w = gauss(sq_distances(cands, self.pts[:n]), self._inv, self._cutoff2)
-        clear = w.sum(axis=1)
-        clear *= 1.0 - 1e-9
-        rsp = self.rsp[:n]
-        grown = np.empty(n)
-        settled = 0
-        for wt, c in zip(w, clear.tolist()):
-            np.add(rsp, wt, out=grown)
-            if not c > grown.max():
-                break
-            np.subtract(grown, wt, out=rsp)
-            settled += 1
+        total = w.sum(axis=1)
+        exact = np.count_nonzero(w, axis=1) <= 1
+        w += self.rsp[:n]
+        top = w.max(axis=1)
+        ok = np.where(exact, total >= top, total * (1.0 - 1e-9) > top)
+        settled = len(ok) if ok.all() else int(ok.argmin())
         self._seq += settled
         return settled
 
@@ -316,7 +307,8 @@ class ResponsibilitySet:
         groups = self.index.cell_windows(self.params.cutoff_radius) if gridded else [(np.arange(n),) * 2]
         for rows, cols in groups:
             off = int(np.flatnonzero(cols == rows[0])[0])  # rows = cols[off : off + len(rows)]
-            for s, w in kernel_blocks(pts[rows], pts[cols], self._inv, self._cutoff2):
+            a, b = np.take(pts, rows, axis=0), np.take(pts, cols, axis=0)
+            for s, w in kernel_blocks(a, b, self._inv, self._cutoff2):
                 lane = np.arange(s.stop - s.start)
                 w[lane, lane + off + s.start] = 0.0  # self weights: subtracting 1.0 would round
                 fresh[rows[s]] = w.sum(axis=1)
@@ -334,12 +326,13 @@ def run_interchange(
 
     The state is seeded with the first K streamed points (after the optional
     seeded shuffle of the stream order) by one ``load``; every later point
-    goes through one ``step``, or, in a run of rejections, a ``reject_run`` block as
-    long as the run so far (at most ``REJECT_BLOCK_CELLS // K`` rows, none
-    past the next recompute).  Passes repeat over the same order and stop
-    early when a full pass makes no replacement, ``until_converged`` after at
-    most ``PASS_CAP`` passes; the time budget is checked after every step or
-    block.
+    goes through one ``step``, or is settled in a ``reject_run`` block whose
+    first unsettled row goes through ``step``.  A block has one row per
+    candidate dropped so far, halved at each replacement, at most
+    ``REJECT_BLOCK_CELLS // K`` and none past the next recompute.  Passes
+    repeat over the same order and stop early when a full pass makes no
+    replacement, ``until_converged`` after at most ``PASS_CAP`` passes; the
+    time budget is checked after every step or block.
     """
     data = np.asarray(data, dtype=float).reshape(-1, 2)
     n = len(data)
@@ -368,7 +361,9 @@ def run_interchange(
     rows = REJECT_BLOCK_CELLS // cfg.k
     if cfg.mode == "noes" or cfg.record_trace or rows < 8:
         rows = 0
-    run = 0  # consecutive rejections, the size of the next block
+    # rows of the next block; halving at a replacement keeps frequent
+    # replacements on ``step``, where a block would be scored in vain
+    run = 0
     since_recompute = 0
     out_of_time = False
     member = np.zeros(n, dtype=bool)
@@ -389,17 +384,16 @@ def run_interchange(
             if b >= 2:
                 window = stream[pos : pos + b + cfg.k]
                 offs = np.flatnonzero(~member[window])[:b]
-                settled = state.reject_run(data[window[offs]])
+                settled = state.reject_run(np.take(data, window[offs], axis=0))
                 stats.batch_rejects += settled
+                run += settled
                 stats.points_seen += settled
                 since_recompute += settled
                 settled_all = settled == len(offs)
                 if settled_all:
-                    run += settled
                     pos += int(offs[-1]) + 1
                 else:
-                    # the first candidate not clearly evicted goes through step
-                    run = settled
+                    # the first candidate not clearly dropped goes through step
                     pos += int(offs[settled])
                     ii = int(stream[pos])
             if not settled_all:
@@ -407,7 +401,7 @@ def run_interchange(
                 if replaced:
                     member[state.last_removed_src] = False
                     member[ii] = True
-                run = 0 if replaced else run + 1
+                run = run // 2 if replaced else run + 1
                 stats.points_seen += 1
                 pass_repl += replaced
                 if cfg.record_trace:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainRejectionError, EmptySampleError, ExtentRangeError
+from .errors import DomainRejectionError, EmptySampleError, ExtentRangeError, LossRangeError
 from .geometry import KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
 from .spatial import GridIndex
 
@@ -132,7 +132,10 @@ def _mc_points(data, params: KernelParams, n_points: int, seed: int, domain_radi
 
 def _log_ratio(losses: np.ndarray, xs: np.ndarray, data, params: KernelParams, stat: str) -> float:
     """log10 of the sample's loss statistic over the full dataset's on ``xs``."""
-    return math.log10(_stat(losses, stat) / _stat(point_losses(xs, data, params), stat))
+    full = _stat(point_losses(xs, data, params), stat)
+    if full == math.inf:  # zero kernel sums: the sample's loss is inf too, and inf / inf is nan
+        raise LossRangeError(f"the dataset's own {stat} loss is infinite at epsilon {params.epsilon:g}")
+    return math.log10(_stat(losses, stat) / full)
 
 
 def mc_loss(

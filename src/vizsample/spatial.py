@@ -115,7 +115,7 @@ class GridIndex:
         a, b = _at((cy - r) / cs, y0, y1), _at((cy + r) / cs, y0, y1) + 1
         cols = range(_at((cx - r) / cs, x0, x1) * ny, _at((cx + r) / cs, x0, x1) * ny + 1, ny)
         slots = np.concatenate([ids[s[k + a] : s[k + b]] for k in cols])
-        d2 = sq_distances(np.asarray(center, dtype=float), self.pts[slots])
+        d2 = sq_distances(np.asarray(center, dtype=float), np.take(self.pts, slots, axis=0))
         keep = d2 <= r * r
         self.d2 = d2[keep]
         return slots[keep]
@@ -125,7 +125,7 @@ class GridIndex:
         ``within_radius(p, r)`` scans for any member p, the members as one run."""
         cells = np.flatnonzero(np.diff(self.starts))
         a, b = self.starts[cells], self.starts[cells + 1]
-        xy = self.pts[self.ids[: self.starts[-1]]]
+        xy = np.take(self.pts, self.ids[: self.starts[-1]], axis=0)
         lo = np.floor((np.minimum.reduceat(xy, a) - r) / self.cell) - self._lo.T
         hi = np.floor((np.maximum.reduceat(xy, a) + r) / self.cell) - self._lo.T
         return ((self.ids[i:j], self._window(c0, c1)) for i, j, c0, c1 in zip(a.tolist(), b.tolist(), lo, hi))
@@ -155,7 +155,7 @@ class GridIndex:
             ids = self._window(np.floor(cell - reach), np.floor(cell + 1 + reach))
             for s in row_blocks(len(rows), len(ids)):
                 with np.errstate(over="ignore"):  # an overflow to inf is out of reach
-                    d2 = sq_distances(qs[rows[s]], self.pts[ids])
+                    d2 = sq_distances(np.take(qs, rows[s], axis=0), np.take(self.pts, ids, axis=0))
                 hit[rows[s]] = (d2 <= r * r).any(axis=1)
         return hit
 
@@ -179,7 +179,7 @@ class GridIndex:
                 best = np.empty(len(rows))
                 for s in row_blocks(len(rows), len(ids)):
                     with np.errstate(over="ignore"):  # overflows tie at inf, as in a scan
-                        d2 = sq_distances(qs[rows[s]], self.pts[ids])
+                        d2 = sq_distances(np.take(qs, rows[s], axis=0), np.take(self.pts, ids, axis=0))
                     best[s] = d2.min(axis=1)
                     out[rows[s]] = np.where(d2 == best[s, None], ids, len(self.pts)).min(axis=1)
                 # a point outside the window is more than ``ring`` cells away

@@ -127,3 +127,63 @@ def test_stratified_skewed_matches_waterfill_quotas():
 def test_stratified_k_too_large():
     with pytest.raises(KTooLargeError):
         stratified_sample(np.zeros((3, 2)), StratifiedConfig(grid_cells_per_axis=2, k=4))
+
+
+def reservoir_oracle(n, k, seed):
+    """The row loop: one draw per row past the first k."""
+    rng = np.random.default_rng(seed)
+    chosen = list(range(min(k, n)))
+    for i in range(k, n):
+        j = int(rng.integers(0, i + 1))
+        if j < k:
+            chosen[j] = i
+    return chosen
+
+
+def stratified_oracle(data, g, k, seed):
+    """The row loop: one reservoir per cell of quota q, fed in row order."""
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    width = (hi - lo) / g
+    c = np.clip(((data - lo) / np.where(width > 0, width, 1.0)).astype(np.int64), 0, g - 1)
+    cells = c[:, 1] * g + c[:, 0]
+    counts = np.bincount(cells, minlength=g * g)
+    nonempty = np.flatnonzero(counts)
+    quota = np.zeros(g * g, dtype=np.int64)
+    quota[nonempty] = balanced_allocation(counts[nonempty].tolist(), k)
+    rng = np.random.default_rng(seed)
+    reservoirs = [[] for _ in range(g * g)]
+    seen = np.zeros(g * g, dtype=np.int64)
+    for i, c in enumerate(cells):
+        q = quota[c]
+        if q == 0:
+            continue
+        seen[c] += 1
+        if len(reservoirs[c]) < q:
+            reservoirs[c].append(i)
+        else:
+            j = int(rng.integers(0, seen[c]))
+            if j < q:
+                reservoirs[c][j] = i
+    return [i for res in reservoirs for i in res]
+
+
+def _baseline_data():
+    rng = np.random.default_rng(29)
+    blobs = np.vstack([rng.normal(m, 0.3, size=(700, 2)) for m in (0.0, 2.0, 5.0)])
+    line = np.column_stack([rng.uniform(0, 1, 2100), np.full(2100, 4.0)])  # an axis of zero width
+    return {"blobs": blobs, "line": line}
+
+
+BASELINE_DATA = _baseline_data()
+
+
+@pytest.mark.parametrize("kind", sorted(BASELINE_DATA))
+@pytest.mark.parametrize("seed", [0, 1, 5, 1013])
+@pytest.mark.parametrize("k", [1, 7, 200, 2099, 2100])
+def test_baselines_match_their_row_loops(kind, seed, k):
+    data = BASELINE_DATA[kind]
+    got = reservoir_sample(data, k, seed=seed).source_indices
+    assert got.dtype == np.int64 and got.tolist() == reservoir_oracle(len(data), k, seed)
+    for g in (1, 3, 10, 25):
+        got = stratified_sample(data, StratifiedConfig(grid_cells_per_axis=g, k=k, seed=seed)).source_indices
+        assert got.dtype == np.int64 and got.tolist() == stratified_oracle(data, g, k, seed)

@@ -5,6 +5,8 @@ import pytest
 
 from vizsample.cli import main
 from vizsample.dataio import read_points_csv, read_sample_csv, write_points_csv
+from vizsample.geometry import make_params
+from vizsample.quality import surrogate_objective
 
 
 @pytest.fixture()
@@ -308,10 +310,22 @@ def test_huge_epsilon_on_huge_coordinates(mode, tmp_path, capsys, monkeypatch):
     write_points_csv(np.random.default_rng(8).uniform(-1, 1, size=(200, 2)) * 1e200, "d.csv")
     rc = main(["sample", "--input", "d.csv", "--output", "s.csv", "--k", "20", "--mode", mode, "--epsilon", "1.2e154"])
     assert rc == 0
-    assert len(np.unique(read_sample_csv("s.csv").points, axis=0)) == 20
-    capsys.readouterr()
-    assert main(["evaluate", "--data", "d.csv", "--sample", "s.csv", "--epsilon", "1.2e154"]) == 0
-    assert np.isfinite(json.loads(capsys.readouterr().out)["surrogate_objective"])
+    points = read_sample_csv("s.csv").points
+    assert len(np.unique(points, axis=0)) == 20
+    assert surrogate_objective(points, make_params(1.2e154)) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_with_an_infinite_dataset_loss_exits_1(tmp_path, capsys, monkeypatch):
+    # the plot locations' squared distances to every data point overflow, so
+    # both losses are inf and their ratio would print as NaN
+    monkeypatch.chdir(tmp_path)
+    write_points_csv(np.random.default_rng(8).uniform(-1, 1, size=(200, 2)) * 1e200, "huge.csv")
+    rc = main(["evaluate", "--data", "huge.csv", "--sample", "huge.csv", "--epsilon", "1.2e154"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: the dataset's own median loss is infinite at epsilon 1.2e+154"]
 
 
 @pytest.mark.filterwarnings("error")

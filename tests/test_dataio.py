@@ -188,6 +188,25 @@ def test_numpy_fast_path_parses_written_files(tmp_path, with_counts):
         assert fast_counts is None
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-320, 5e-324, 0.1 + 0.2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_FINITE, _FINITE, st.integers(-(2**63), 2**63 - 1)), max_size=8),
+    st.booleans(),
+)
+def test_written_bytes_match_the_per_value_format(tmp_path_factory, rows, with_counts):
+    pts = np.array([r[:2] for r in rows], dtype=float).reshape(-1, 2)
+    counts = np.array([r[2] for r in rows], dtype=np.int64)
+    path = tmp_path_factory.mktemp("csv") / "s.csv"
+    write_sample_csv(Sample(pts, np.arange(len(pts)), "t", counts), path, with_density=with_counts)
+    lines = ["x,y,count" if with_counts else "x,y"]
+    for x, y, c in rows:
+        lines.append(",".join([format(x, ".17g"), format(y, ".17g")] + [str(c)] * with_counts))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_sample_length_mismatch_rejected():
     with pytest.raises(ValueError):
         Sample(points=np.zeros((2, 2)), source_indices=np.array([0]), method="x")

@@ -1,9 +1,10 @@
-import dataclasses
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vizsample import interchange
 from vizsample.errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
@@ -274,6 +275,8 @@ def _datasets():
         # exact ties between distances and between responsibilities
         "lattice": rng.integers(0, 8, size=(400, 2)).astype(float),
         "duplicated": base[rng.integers(0, len(base), size=300)],
+        # isolated members: a candidate near one ties it exactly
+        "sparse": rng.uniform(0, 40, size=(400, 2)),
     }
 
 
@@ -442,12 +445,11 @@ def test_reject_run_leaves_the_state_of_its_steps(mode):
     assert 0 < sum(settled) and min(settled) < len(cands)
 
 
-def test_reject_run_checks_each_row_after_the_round_trips_before_it():
-    # Members far apart have responsibilities near 3.5e-11.  Expanding the
-    # first candidate next to member 2 and evicting it again moves that
-    # member's responsibility by about ulp(1), 3.47370774e-11 -> 3.47371021e-11.
-    # Against the responsibilities before that round trip the second
-    # candidate looks clearly evicted; step answers it with a replacement.
+def test_reject_run_scores_every_row_against_the_same_state():
+    # Members far apart have responsibilities near 3.5e-11.  The first
+    # candidate lies next to member 2, the second far from all three; step
+    # drops each without writing, so neither moves the responsibilities the
+    # other is scored against.
     members = [
         [10.924252571715536, 12.873232596853832],
         [1.1768538986227084, 10.142515113961153],
@@ -457,10 +459,38 @@ def test_reject_run_checks_each_row_after_the_round_trips_before_it():
     second = [3.321848125108975, 3.5421040127184944]
     state = _state_after(np.array(members), 3, make_params(1.0), "es")
     stepped = _state_after(np.array(members), 3, make_params(1.0), "es")
-    assert state.reject_run(np.array([first, second])) == 1
-    assert stepped.step(first, 3) is False
+    assert state.reject_run(np.array([first, second])) == 2
+    before = _state_record(stepped)
+    for i, cand in enumerate([first, second]):
+        assert stepped.step(cand, 3 + i) is False
+        after = _state_record(stepped)
+        assert after[:4] + after[5:] == before[:4] + before[5:]
     assert _state_record(state) == _state_record(stepped)
-    assert state.step(second, 4) is True
+
+
+_COORD = st.integers(0, 5).map(float) | st.floats(0, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(["es", "esloc"]),
+    rows=st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=14),
+    eps=st.sampled_from([0.3, 1.0, 3.0]),
+    slot=st.integers(0, 12),
+    ulps=st.integers(0, 4),
+)
+def test_a_dropping_step_writes_nothing_but_the_counter(mode, rows, eps, slot, ulps):
+    # lattice coordinates give exact ties and candidates at a member's place;
+    # the bump is rounding noise of the kind recomputes and evictions leave
+    data = np.array(rows)
+    k = len(data) - 1
+    state = _loaded(data, k, make_params(eps), mode)
+    state.rsp[slot % k] += ulps * np.spacing(state.rsp[slot % k])
+    before = _state_record(state)
+    if not state.step(data[k], k):
+        after = _state_record(state)
+        assert after[:4] + after[5:] == before[:4] + before[5:]
+        assert after[4] == before[4] + 1
 
 
 def test_reject_run_needs_a_replayable_mode_at_rest():
@@ -491,15 +521,24 @@ def test_stop_reasons():
 
 
 def test_until_converged_stops_at_the_pass_cap(monkeypatch):
-    # esloc swaps lattice members with symmetric neighbourhoods on rounding
-    # noise and never converges on this run; es does
-    monkeypatch.setattr(interchange, "PASS_CAP", 12)
-    data = DATASETS["lattice"]
+    # this run needs 4 passes to converge
     cfg = InterchangeConfig(k=20, seed=0, mode="esloc", until_converged=True)
-    _, stats = run_interchange(data, cfg, make_params(0.4))
-    assert stats.stop_reason == "pass_cap" and stats.passes_run == 12
-    _, stats = run_interchange(data, dataclasses.replace(cfg, mode="es"), make_params(0.4))
-    assert stats.stop_reason == "converged" and stats.passes_run < 12
+    monkeypatch.setattr(interchange, "PASS_CAP", 3)
+    _, stats = run_interchange(DATASETS["uniform"], cfg, make_params(0.4))
+    assert stats.stop_reason == "pass_cap" and stats.passes_run == 3
+    monkeypatch.setattr(interchange, "PASS_CAP", 4)
+    _, stats = run_interchange(DATASETS["uniform"], cfg, make_params(0.4))
+    assert stats.stop_reason == "converged" and stats.passes_run == 4
+
+
+@pytest.mark.parametrize("mode", ["es", "esloc"])
+@pytest.mark.parametrize("seed", range(8))
+def test_lattice_ties_converge(mode, seed):
+    # symmetric lattice members tie exactly; in esloc, rounding left behind
+    # by dropped points once made them swap until the pass cap
+    cfg = InterchangeConfig(k=20, seed=seed, mode=mode, until_converged=True)
+    _, stats = run_interchange(DATASETS["lattice"], cfg, make_params(0.4))
+    assert stats.stop_reason == "converged"
 
 
 def _repeated_rows():
