@@ -39,7 +39,7 @@ class NoEdgesError(VizSampleError):
 
 
 class LossRangeError(VizSampleError):
-    """The dataset's own loss is infinite in float64, so no loss ratio exists."""
+    """An infinite loss: the dataset's own (no ratio exists) or the sample's (not JSON)."""
 
 
 class DomainRejectionError(VizSampleError):

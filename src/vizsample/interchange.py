@@ -13,11 +13,11 @@ Three execution modes:
 - ``noes``  -- reference path (the oracle for the other two): every point is
   expanded, the responsibilities of the expanded set are recomputed from
   scratch (O(K^2) per point), then ``shrink`` evicts.
-- ``es``    -- scored, then incremental expand/shrink bookkeeping (O(K) per
-  point).
+- ``es``    -- scored, then incremental bookkeeping: a dropped point reads its
+  weights and a cached top responsibility, a commit one O(K) max and ``==``.
 - ``esloc`` -- like ``es`` but pair weights beyond the cutoff radius are
   treated as zero, with a grid index over the member slots locating the
-  affected members.
+  affected members, so a dropped point reads only its grid window.
 
 ``noes`` and ``es`` produce identical samples on identical streams; ``esloc``
 differs only by per-pair truncation error.
@@ -67,7 +67,7 @@ class InterchangeConfig:
     mode: str = "esloc"
     recompute_interval: int = 100_000
     until_converged: bool = False
-    time_budget_secs: float | None = None
+    time_budget_secs: float | None = None  # counts the seed load; read after each step or block
     record_trace: bool = False
 
     def __post_init__(self):
@@ -128,6 +128,7 @@ class ResponsibilitySet:
         self.mode = mode
         self.pts = np.empty((cap, 2), dtype=float)
         self.rsp = np.zeros(cap, dtype=float)
+        self._rsp_max = None  # max of rsp[:n] at rest, or None: whoever writes rsp resets it
         self.order = np.empty(cap, dtype=np.int64)
         self.src = np.empty(cap, dtype=np.int64)
         self.n = 0
@@ -162,8 +163,8 @@ class ResponsibilitySet:
 
     def _weights_to(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(slots, kappa_tilde weights) of the members interacting with the
-        float point ``p``: all of them, or in ``esloc`` those within the
-        cutoff radius, in ``within_radius`` order."""
+        float point ``p``: all K, or in ``esloc`` those within the cutoff
+        radius, in ``within_radius`` order, for the cost of a grid window."""
         if self.mode != "esloc":
             d2 = sq_distances(p, self.pts[: self.n])
             return np.arange(self.n, dtype=np.intp), gauss(d2, self._inv)
@@ -183,6 +184,7 @@ class ResponsibilitySet:
     def _append(self, p: np.ndarray, source_index: int, slots: np.ndarray, contrib: np.ndarray) -> None:
         """``expand`` with the weights of ``p`` in hand."""
         self.rsp[slots] += contrib
+        self._rsp_max = None
         slot = self.n
         self.pts[slot] = p
         self.rsp[slot] = float(contrib.sum())
@@ -193,11 +195,11 @@ class ResponsibilitySet:
         self._seq += 1
         self.n += 1
 
-    def shrink(self) -> bool:
-        """Evict the max-responsibility entry (ties: most recently inserted).
-        An entry at exactly the newest point's coordinates is interchangeable
-        with it, so the newest goes instead: rounding noise in the
-        responsibilities of duplicates must not count as a replacement.
+    def shrink(self, j: int | None = None) -> bool:
+        """Evict slot ``j``, as ``step`` scored it, or the max-responsibility
+        entry (ties: most recently inserted), where an entry at exactly the
+        newest point's coordinates gives way to the newest: rounding noise in
+        the responsibilities of duplicates must not count as a replacement.
 
         Returns True when the evicted entry is not the most recent insertion,
         i.e. the step replaced an incumbent.
@@ -205,23 +207,23 @@ class ResponsibilitySet:
         n = self.n
         if n != self.k + 1:
             raise ValueError("shrink requires an expanded set of size K+1")
-        j = self._top(self.rsp[:n])
         newest_slot = n - 1  # expand always appends
-        if j != newest_slot and self.pts[j].tolist() == self.pts[newest_slot].tolist():
-            j = newest_slot
+        if j is None:
+            j = self._top(self.rsp[:n].max())
+            if j != newest_slot and self.pts[j].tolist() == self.pts[newest_slot].tolist():
+                j = newest_slot
 
         replaced = j != newest_slot
         if replaced and self.index is not None:
             self.index.insert(newest_slot)  # the newest stays: it joins the grid now
         slots, contrib = self._weights_to(self.pts[j])
-        keep = slots != j  # the entry itself, at weight 1
-        self.rsp[slots[keep]] -= contrib[keep]
+        self.rsp[slots] -= contrib  # rsp[j] goes with its slot
         self._remove_slot(j)
         return replaced
 
-    def _top(self, rsp: np.ndarray) -> int:
-        """Slot of the largest of the responsibilities ``rsp``, ties to the newest."""
-        cand = np.flatnonzero(rsp == rsp.max())
+    def _top(self, top: float, also: np.ndarray = np.arange(0)) -> int:
+        """Newest slot whose responsibility is ``top``, among the entries and ``also``."""
+        cand = np.concatenate((np.flatnonzero(self.rsp[: self.n] == top), also))
         return int(cand[np.argmax(self.order[cand])])
 
     def _remove_slot(self, j: int) -> None:
@@ -261,13 +263,15 @@ class ResponsibilitySet:
             self.recompute()
             return self.shrink()
         slots, w = self._weights_to(p)
-        grown = self.rsp[: self.n].copy()
-        grown[slots] += w
-        if w.sum() >= grown.max() or self.pts[self._top(grown)].tolist() == p.tolist():
+        if self._rsp_max is None:
+            self._rsp_max = self.rsp[: self.n].max()
+        g = self.rsp[slots] + w
+        top = max(self._rsp_max, g.max(initial=-np.inf))
+        if w.sum() >= top or self.pts[j := self._top(top, slots[g == top])].tolist() == p.tolist():
             self._seq += 1
             return False
         self._append(p, source_index, slots, w)
-        return self.shrink()
+        return self.shrink(j)
 
     def reject_run(self, cands: np.ndarray) -> int:
         """Settle the leading rows of ``cands`` (m, 2) that ``step`` would
@@ -314,7 +318,7 @@ class ResponsibilitySet:
                 fresh[rows[s]] = w.sum(axis=1)
         scale = np.maximum(np.abs(fresh), 1e-300)
         drift = float(np.max(np.abs(self.rsp[:n] - fresh) / scale))
-        self.rsp[:n] = fresh
+        self.rsp[:n], self._rsp_max = fresh, None
         return drift
 
 
@@ -429,8 +433,4 @@ def run_interchange(
 
 
 def _to_sample(state: ResponsibilitySet) -> Sample:
-    return Sample(
-        points=state.points.copy(),
-        source_indices=state.source_indices.copy(),
-        method="vas",
-    )
+    return Sample(points=state.points.copy(), source_indices=state.source_indices.copy(), method="vas")

@@ -175,10 +175,11 @@ def evaluate(
     domain_radius: float | None = None,
     stat: str = "median",
 ) -> QualityReport:
-    """Full quality report; numerator and denominator share one MC point set."""
+    """Full quality report; numerator and denominator share one MC point set.
+    An infinite loss, which JSON cannot carry, raises ``LossRangeError``."""
     xs = _mc_points(data, params, n_points, seed, domain_radius)
     losses = point_losses(xs, sample_points, params)
-    return QualityReport(
+    report = QualityReport(
         surrogate_objective=surrogate_objective(sample_points, params),
         mc_loss_mean=float(np.mean(losses)),
         mc_loss_median=float(np.median(losses)),
@@ -186,6 +187,10 @@ def evaluate(
         n_mc_points=n_points,
         seed=seed,
     )
+    for name in ("mc_loss_mean", "mc_loss_median", "log_loss_ratio"):
+        if getattr(report, name) == math.inf:
+            raise LossRangeError(f"the sample's {name} is infinite at epsilon {params.epsilon:g}")
+    return report
 
 
 def submodular_f(points: np.ndarray, params: KernelParams) -> float:

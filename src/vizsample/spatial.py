@@ -105,8 +105,9 @@ class GridIndex:
         self._iv[self._find(self._key(new), old)] = new
 
     def within_radius(self, center, r: float) -> np.ndarray:
-        """Ids of all points with Euclidean distance <= r from ``center``;
-        their squared distances are left in ``d2``."""
+        """Ids of all points with Euclidean distance <= r from ``center``, read
+        from the cells its ball touches (3x3 at most while r <= ``cell``);
+        their squared distances, bitwise ``sq_distances``, are left in ``d2``."""
         if r < 0:
             raise ValueError("radius must be non-negative")
         cx, cy = float(center[0]), float(center[1])
@@ -115,7 +116,8 @@ class GridIndex:
         a, b = _at((cy - r) / cs, y0, y1), _at((cy + r) / cs, y0, y1) + 1
         cols = range(_at((cx - r) / cs, x0, x1) * ny, _at((cx + r) / cs, x0, x1) * ny + 1, ny)
         slots = np.concatenate([ids[s[k + a] : s[k + b]] for k in cols])
-        d2 = sq_distances(np.asarray(center, dtype=float), np.take(self.pts, slots, axis=0))
+        xy = self.pts.take(slots, axis=0).T  # b - a squares to the bits of a - b
+        d2 = np.square(xy[0] - cx) + np.square(xy[1] - cy)
         keep = d2 <= r * r
         self.d2 = d2[keep]
         return slots[keep]

@@ -172,7 +172,7 @@ def test_criterion_05():
     assert time.perf_counter() - t0 < 120.0
 
 
-def test_criterion_06():
+def test_criterion_06(record_property):
     data = gen_blobs(50_000, 3, seed=0)
 
     def run(mode, k, params):
@@ -183,6 +183,8 @@ def test_criterion_06():
     params = default_epsilon(data)
     es = run("es", 5000, params)
     loc = run("esloc", 5000, params)
+    record_property("es_s", round(es.wall_time, 2))  # both modes run the same ``step``
+    record_property("esloc_s", round(loc.wall_time, 2))
     assert abs(loc.final_objective - es.final_objective) <= 1e-3 * es.final_objective
     assert loc.wall_time < es.wall_time
 

@@ -328,6 +328,20 @@ def test_evaluate_with_an_infinite_dataset_loss_exits_1(tmp_path, capsys, monkey
     assert err.splitlines() == ["error: the dataset's own median loss is infinite at epsilon 1.2e+154"]
 
 
+def test_evaluate_with_an_infinite_sample_loss_exits_1(tmp_path, capsys, monkeypatch):
+    # the one sample point is beyond the e**-700 reach of most plot
+    # locations; their inf losses would print as Infinity, which is not JSON
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "500", "--seed", "3", "--output", "d.csv"]) == 0
+    assert main(["sample", "--input", "d.csv", "--output", "s.csv", "--k", "1", "--method", "uniform"]) == 0
+    capsys.readouterr()
+    rc = main(["evaluate", "--data", "d.csv", "--sample", "s.csv", "--epsilon", "0.01"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: the sample's mc_loss_mean is infinite at epsilon 0.01"]
+
+
 @pytest.mark.filterwarnings("error")
 def test_evaluate_on_huge_coordinates_exits_1_without_warnings(tmp_path, capsys):
     # squared distances of the domain test overflow to inf: out of reach

@@ -485,12 +485,76 @@ def test_a_dropping_step_writes_nothing_but_the_counter(mode, rows, eps, slot, u
     data = np.array(rows)
     k = len(data) - 1
     state = _loaded(data, k, make_params(eps), mode)
+    assert state._rsp_max is None  # so the step below reads the bumped rsp
     state.rsp[slot % k] += ulps * np.spacing(state.rsp[slot % k])
     before = _state_record(state)
     if not state.step(data[k], k):
         after = _state_record(state)
         assert after[:4] + after[5:] == before[:4] + before[5:]
         assert after[4] == before[4] + 1
+
+
+def _oracle_top(state, rsp):
+    cand = np.flatnonzero(rsp == rsp.max())
+    return int(cand[np.argmax(state.order[cand])])
+
+
+def _oracle_step(state, point, source_index):
+    """``step`` without the cached maximum: it scores on a copy of every
+    responsibility, and ``shrink`` searches for its slot again."""
+    p = np.asarray(point, dtype=float)
+    slots, w = state._weights_to(p)
+    grown = state.rsp[: state.n].copy()
+    grown[slots] += w
+    if w.sum() >= grown.max() or state.pts[_oracle_top(state, grown)].tolist() == p.tolist():
+        state._seq += 1
+        return False
+    state._append(p, source_index, slots, w)
+    n = state.n
+    j = _oracle_top(state, state.rsp[:n])
+    if j != n - 1 and state.pts[j].tolist() == state.pts[n - 1].tolist():
+        j = n - 1
+    if j != n - 1 and state.index is not None:
+        state.index.insert(n - 1)
+    slots, w = state._weights_to(state.pts[j])
+    keep = slots != j
+    state.rsp[slots[keep]] -= w[keep]
+    state._remove_slot(j)
+    return j != n - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["es", "esloc"]),
+    rows=st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=40),
+    k=st.integers(1, 12),
+    eps=st.sampled_from([0.3, 1.0, 3.0]),
+    interval=st.sampled_from([1, 9, 100_000]),
+    bumps=st.lists(st.tuples(st.integers(0, 2), st.integers(-4, 4)), max_size=4),
+)
+def test_cached_step_matches_the_full_copy_oracle(mode, rows, k, eps, interval, bumps):
+    # drops between commits read a warm cached maximum; commits, recomputes
+    # and ulp bumps (the rounding noise recomputes leave) must not leave it stale
+    data = np.array(rows + rows)  # a second pass offers every row again
+    k = min(k, len(rows) - 1)
+    cached, oracle = (_loaded(data, k, make_params(eps), mode) for _ in range(2))
+
+    def bump(r):  # at rest, after a write that resets the cache
+        if bumps:
+            rank, ulps = bumps[r % len(bumps)]  # rank 0: the largest responsibility
+            j = np.argsort(-cached.rsp[:k], kind="stable")[rank % k]
+            for state in (cached, oracle):
+                state.rsp[j] += ulps * np.spacing(state.rsp[j])
+
+    bump(0)
+    for i, p in enumerate(data[k:], start=k):
+        assert cached.step(p, i) == _oracle_step(oracle, p, i)
+        assert cached.last_removed_src == oracle.last_removed_src
+        if (i - k + 1) % interval == 0:
+            assert cached.recompute() == oracle.recompute()
+            bump(i + 1)
+        assert _state_record(cached) == _state_record(oracle)
+        assert cached._rsp_max in (None, cached.rsp[:k].max())
 
 
 def test_reject_run_needs_a_replayable_mode_at_rest():
@@ -518,6 +582,16 @@ def test_stop_reasons():
     assert stats.passes_run == 1 and stats.points_seen < len(data)
     _, stats = run_interchange(data[:6], InterchangeConfig(k=6), params)
     assert stats.stop_reason == "converged"
+
+
+@pytest.mark.parametrize("k", [8, 1025])  # with and without batched rejection
+def test_time_budget_counts_the_seed_and_stops_after_one_step(k):
+    # the clock starts before the seed load, and is read after each step
+    data = np.random.default_rng(87).uniform(0, 30, size=(k + 200, 2))
+    cfg = InterchangeConfig(k=k, seed=2, passes=5, time_budget_secs=1e-9)
+    _, stats = run_interchange(data, cfg, make_params(0.3))
+    assert stats.stop_reason == "time_budget"
+    assert stats.points_seen == k + 1 and stats.passes_run == 1
 
 
 def test_until_converged_stops_at_the_pass_cap(monkeypatch):
