@@ -100,14 +100,13 @@ def stratified_sample(data: np.ndarray, cfg: StratifiedConfig) -> Sample:
         width = (hi - lo) / g
     if not np.isfinite(width).all():
         raise ExtentRangeError("no stratified grid over a bounding box wider than float64 can span")
-    # column and row of each point; an axis of zero width is one column
-    c = np.clip(((data - lo) / np.where(width > 0, width, 1.0)).astype(np.int64), 0, g - 1)
-    cells = c[:, 1] * g + c[:, 0]
-    counts = np.bincount(cells, minlength=g * g)
-    nonempty = np.flatnonzero(counts)  # row-major cell order
-    quotas_ne = balanced_allocation(counts[nonempty].tolist(), cfg.k)
-    quota = np.zeros(g * g, dtype=np.int64)
-    quota[nonempty] = quotas_ne
+    # column and row of each point, in floats for any g (past g - 1, the least
+    # float >= g - 1); an axis of cell width 0 (or one that underflows) is one column
+    last = float(g - 1) if float(g - 1) >= g - 1 else np.nextafter(float(g - 1), np.inf)
+    c = np.minimum(np.floor((data - lo) / np.where(width > 0, width, 1.0)), last)
+    # each point's rank among the occupied cells in row-major order: O(N log N)
+    _, cells, counts = np.unique(c[:, ::-1], axis=0, return_inverse=True, return_counts=True)
+    quota = np.array(balanced_allocation(counts.tolist(), cfg.k), dtype=np.int64)
 
     # one reservoir per cell over its rows in row order: a row's rank in its
     # cell is its reservoir's count before it; past the quota it draws its

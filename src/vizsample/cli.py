@@ -17,7 +17,7 @@ from .baselines import StratifiedConfig, reservoir_sample, stratified_sample
 from .dataio import gen_blobs, read_points_csv, read_sample_csv, write_points_csv, write_sample_csv
 from .density import attach_counts
 from .errors import VizSampleError
-from .exact import brute_force_vas, export_mip_lp, weights_from_points
+from .exact import brute_force_vas, check_budget, export_mip_lp, weights_from_points
 from .geometry import DEFAULT_CUTOFF_FACTOR, default_epsilon, make_params
 from .interchange import InterchangeConfig, run_interchange
 from .quality import evaluate
@@ -52,6 +52,8 @@ def _checked(kind, ok, what: str):
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NATURAL = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_GRID = _checked(int, lambda v: 1 <= v <= 2**1000, "an integer in [1, 2**1000]")  # float64 holds g
 _LENGTH = _checked(float, lambda v: 0 < v < float("inf"), "a finite real > 0")
 
 
@@ -101,6 +103,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_exact(args) -> int:
     data = read_points_csv(args.input)
     params = _params_for(data, args.epsilon, None)
+    check_budget(len(data), args.k)  # before the O(n^2) weights
     subset, objective = brute_force_vas(weights_from_points(data, params), args.k)
     print(json.dumps({"indices": list(subset), "objective": objective}))
     return 0
@@ -137,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cutoff", type=_LENGTH, default=None,
                     help=f"truncation radius (default: {DEFAULT_CUTOFF_FACTOR:g} * epsilon)")
     sp.add_argument("--shuffle", choices=["on", "off"], default="on")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_NATURAL, default=0)
     sp.add_argument("--density", action="store_true", help="attach nearest-neighbor density counts")
-    sp.add_argument("--grid", type=_COUNT, default=10, help="stratified grid cells per axis")
+    sp.add_argument("--grid", type=_GRID, default=10, help="stratified grid cells per axis")
     sp.set_defaults(func=_cmd_sample)
 
     ep = sub.add_parser("evaluate", help="quality report of a sample against its dataset")
@@ -149,13 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--stat", choices=["median", "mean"], default="median")
     ep.add_argument("--domain-radius", type=_LENGTH, default=None, help="default: 10 * epsilon")
     ep.add_argument("--epsilon", type=_LENGTH, default=None)
-    ep.add_argument("--seed", type=int, default=0)
+    ep.add_argument("--seed", type=_NATURAL, default=0)
     ep.add_argument("--format", choices=["json", "text"], default="json")
     ep.set_defaults(func=_cmd_evaluate)
 
     xp = sub.add_parser("exact", help="exhaustive optimum for tiny datasets")
     xp.add_argument("--input", required=True)
-    xp.add_argument("--k", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), required=True)
+    xp.add_argument("--k", type=_NATURAL, required=True)
     xp.add_argument("--epsilon", type=_LENGTH, default=None)
     xp.set_defaults(func=_cmd_exact)
 
@@ -169,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("gen", help="generate a seeded Gaussian-mixture dataset")
     gp.add_argument("--n", type=_COUNT, required=True)
     gp.add_argument("--blobs", type=_COUNT, default=1)
-    gp.add_argument("--seed", type=int, default=0)
+    gp.add_argument("--seed", type=_NATURAL, default=0)
     gp.add_argument("--cov", type=_checked(float, lambda v: 0 <= v < float("inf"), "a finite real >= 0"), default=1.0)
     gp.add_argument("--output", required=True)
     gp.set_defaults(func=_cmd_gen)
@@ -184,8 +187,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except _UsageError as exc:
         parser.error(str(exc))
-    except (VizSampleError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (VizSampleError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

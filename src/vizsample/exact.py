@@ -22,6 +22,7 @@ from .errors import BudgetExceededError, InsufficientDataError, KTooLargeError, 
 from .geometry import KernelParams, gauss, sq_distances
 
 DEFAULT_SUBSET_BUDGET = 10**7
+MAX_WEIGHT_CELLS = 2**24  # of a weights_from_points matrix, 128 MiB (n <= 4096)
 
 
 @dataclass
@@ -67,16 +68,19 @@ class WeightedGraph:
 
 
 def weights_from_points(points: np.ndarray, params: KernelParams) -> WeightMatrix:
-    """Pairwise kappa_tilde matrix of a point set."""
+    """Pairwise kappa_tilde matrix of a point set, of at most ``MAX_WEIGHT_CELLS`` cells."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 2:
         raise InsufficientDataError(f"need at least 2 points, got {len(pts)}")
+    if len(pts) ** 2 > MAX_WEIGHT_CELLS:
+        raise BudgetExceededError(f"a {len(pts)}x{len(pts)} weight matrix exceeds the budget of {MAX_WEIGHT_CELLS} cells")
     w = gauss(sq_distances(pts, pts), params.inv_2eps2)
     np.fill_diagonal(w, 0.0)
     return WeightMatrix(w)
 
 
-def _check_budget(n: int, k: int, budget: int) -> None:
+def check_budget(n: int, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> None:
+    """Raise unless 0 <= k <= n and C(n, k) is within ``budget`` subsets."""
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if k > n:
@@ -93,7 +97,7 @@ def brute_force_vas(
     Ties keep the lexicographically smallest index tuple (the enumeration
     order of ``itertools.combinations``).
     """
-    _check_budget(wm.n, k, budget)
+    check_budget(wm.n, k, budget)
     w = wm.w
     best: tuple[int, ...] | None = None
     best_obj = math.inf
@@ -133,7 +137,7 @@ def solve_mes_brute(
     """Exhaustive K-vertex subset maximizing induced edge weight."""
     if not g.edges:
         raise NoEdgesError("graph has no edges")
-    _check_budget(g.vertex_count, k, budget)
+    check_budget(g.vertex_count, k, budget)
     adj = {}
     for u, v, w in g.edges:
         adj[(min(u, v), max(u, v))] = w

@@ -15,11 +15,11 @@ Every kernel value in the package is ``gauss(sq_distances(a, b), inv)``,
 with the exponent scale ``KernelParams.inv_eps2`` (kappa) or
 ``KernelParams.inv_2eps2`` (kappa_tilde).  It is 0 where the exponent
 passes ``EXP_FLOOR``: the pair sums drop weights below e**-700, as the
-paper's locality cutoff drops those past it.  Dense pair sums over many
-points walk ``kernel_blocks``: the same values, one tile of ``BLOCK_CELLS``
-= 2**16 pair cells at a time, in buffers that the next tile reuses.  A
-512 KiB float64 tile stays in L2; the 16 MiB blocks of 2**21 cells did
-not, and a fresh buffer per block page-faults.
+paper's locality cutoff drops those past it.  Batched distances walk
+``pair_blocks`` (``kernel_blocks`` is ``gauss`` over it): the ``sq_distances``
+values, one tile of ``BLOCK_CELLS`` = 2**16 pair cells at a time, in buffers
+that the next tile reuses.  A 512 KiB float64 tile stays in L2; the 16 MiB
+blocks of 2**21 cells did not, and a fresh buffer per block page-faults.
 """
 
 from __future__ import annotations
@@ -114,31 +114,25 @@ def gauss(d2: np.ndarray, inv: float, cutoff2: float | None = None, w=None, keep
     return w
 
 
-def row_blocks(m: int, n: int):
-    """Slices over the m rows of an (m, n) pair grid, as many rows at a time
-    as fit in ``BLOCK_CELLS`` (at least one)."""
-    step = max(1, BLOCK_CELLS // max(1, n))
-    for i0 in range(0, m, step):
-        yield slice(i0, min(i0 + step, m))
+def pair_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
+    """``(s, d2, w, keep)`` for each slice ``s`` of as many rows of ``a`` as
+    fit in ``BLOCK_CELLS`` pairs with ``b`` (at least one): ``d2`` holds
+    bitwise ``sq_distances(a[s], b)``, and ``w`` (float) and ``keep`` (bool)
+    are free scratch tiles of its shape.
 
-
-def kernel_blocks(a: np.ndarray, b: np.ndarray, inv: float, cutoff2: float | None = None, upper: bool = False):
-    """``(s, gauss(sq_distances(a[s], b), inv, cutoff2))`` for each row block
-    ``s`` of ``row_blocks(len(a), len(b))``; bitwise the same values.
-
-    With ``upper`` (``b`` is ``a``) a block holds only the columns j >= s.start
-    and its entries with j <= i are zeroed, so it sums the unordered pairs
-    of its rows.  Every block is a view of one buffer that the next block
-    overwrites: use it before advancing.  The reused buffers stay in cache
-    and spare an allocation per block: with two or three block-sized
-    temporaries alive, glibc hands the heap top back to the system and the
-    next block page-faults it in again, which costs more than the kernel."""
+    With ``upper`` (``b`` is ``a``) a block holds only the columns j >= s.start.
+    Every tile is a view of one buffer that the next block overwrites: use
+    it before advancing.  The reused buffers stay in cache and spare an
+    allocation per block: with two or three block-sized temporaries alive,
+    glibc hands the heap top back to the system and the next block
+    page-faults it in again, which costs more than the kernel."""
     m, n = len(a), len(b)
     bx = np.ascontiguousarray(b[:, 0])
     by = np.ascontiguousarray(b[:, 1])
-    cells = min(m * n, max(n, BLOCK_CELLS))
+    step = max(1, BLOCK_CELLS // max(1, n))
+    cells = min(m, step) * n
     bufs = (np.empty(cells), np.empty(cells), np.empty(cells, bool))
-    for s in row_blocks(m, n):
+    for s in (slice(i, min(i + step, m)) for i in range(0, m, step)):
         c0 = s.start if upper else 0
         shape = (s.stop - s.start, n - c0)
         d2, w, keep = (x[: shape[0] * shape[1]].reshape(shape) for x in bufs)
@@ -149,9 +143,18 @@ def kernel_blocks(a: np.ndarray, b: np.ndarray, inv: float, cutoff2: float | Non
             d2 *= d2
             w *= w
             d2 += w
+        yield s, d2, w, keep
+
+
+def kernel_blocks(a: np.ndarray, b: np.ndarray, inv: float, cutoff2: float | None = None, upper: bool = False):
+    """``(s, gauss(sq_distances(a[s], b), inv, cutoff2))`` for each block of
+    ``pair_blocks(a, b, upper)``, in its ``w`` tile; bitwise the same values.
+    With ``upper`` the entries with j <= i are zeroed, so a block sums the
+    unordered pairs of its rows."""
+    for s, d2, w, keep in pair_blocks(a, b, upper):
         gauss(d2, inv, cutoff2, w, keep)
         if upper:
-            for r in range(shape[0]):
+            for r in range(len(w)):
                 w[r, : r + 1] = 0.0
         yield s, w
 

@@ -301,17 +301,18 @@ class ResponsibilitySet:
 
     def recompute(self) -> float:
         """Recompute responsibilities from scratch (mode-consistent truncation;
-        ``esloc`` at rest sums over ``cell_windows``); returns the max drift."""
+        ``esloc`` at rest sums cell by cell over ``windows``); returns the max drift."""
         n = self.n
         if n == 0:
             return 0.0
-        pts = self.pts[:n]
         fresh = np.empty(n)
-        gridded = self.index is not None and self.index.starts[-1] == n
-        groups = self.index.cell_windows(self.params.cutoff_radius) if gridded else [(np.arange(n),) * 2]
+        groups = [(np.arange(n),) * 2]
+        if self.index is not None and self.index.starts[-1] == n:
+            ids = self.index.ids[:n]  # the members in cell order: one group a cell
+            groups = ((ids[rows], cols) for rows, cols in self.index.windows(self.pts[ids], self.params.cutoff_radius))
         for rows, cols in groups:
             off = int(np.flatnonzero(cols == rows[0])[0])  # rows = cols[off : off + len(rows)]
-            a, b = np.take(pts, rows, axis=0), np.take(pts, cols, axis=0)
+            a, b = np.take(self.pts, rows, axis=0), np.take(self.pts, cols, axis=0)
             for s, w in kernel_blocks(a, b, self._inv, self._cutoff2):
                 lane = np.arange(s.stop - s.start)
                 w[lane, lane + off + s.start] = 0.0  # self weights: subtracting 1.0 would round

@@ -14,11 +14,12 @@ more than min(GRID_SIDE, 2*sqrt(n) + 2) a side.  An edge cell on each side of
 the box holds the rows outside it; query cell ranges are clamped into the
 same range at both ends, which is monotone, so no query loses a row.
 
-Radius queries take one centre at a time (truncated pair-weight updates),
-or the members of each occupied cell at once (``cell_windows``, for the
-``esloc`` recompute); membership and nearest-neighbor queries take an (m, 2)
-array (the Monte-Carlo domain test, the density pass) and loop over its
-occupied cells.
+Radius queries take one centre at a time (truncated pair-weight updates).
+Batched queries take an (m, 2) array: ``windows`` groups its rows by
+occupied cell and yields the ids that a ball around each group reaches,
+and the ``esloc`` recompute, the membership test (the Monte-Carlo domain)
+and the nearest-neighbor search (the density pass) walk the
+``geometry.pair_blocks`` tiles of each group against its window.
 The ``sq_distances`` arithmetic decides every answer, so each is the linear
 scan's (see the tests).  Closed balls: squared distance <= r*r; nearest ties
 go to the smallest id; single writer, and readers are safe between mutations.
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import EmptyIndexError
-from .geometry import row_blocks, sq_distances
+from .geometry import pair_blocks
 
 # Most cells a side of the box: the cell arrays then stay under 1.6 MB.
 GRID_SIDE = 256
@@ -70,8 +71,7 @@ class GridIndex:
 
     def load(self, n: int) -> None:
         """Index rows 0..n-1 only, as ``insert(0)``, ..., ``insert(n - 1)`` would."""
-        c = (np.floor(self._clamped(self.pts[:n])) - self._lo).astype(np.intp)
-        keys = c[0] * self._ny + c[1]
+        keys = self._keys(self.pts[:n])
         self.ids = np.zeros(len(self.pts), dtype=np.intp)
         self.ids[:n] = np.argsort(keys, kind="stable")
         self.starts = np.zeros(self.shape.prod() + 1, dtype=np.intp)
@@ -122,21 +122,29 @@ class GridIndex:
         self.d2 = d2[keep]
         return slots[keep]
 
-    def cell_windows(self, r: float):
-        """(members, window) per occupied cell: its ids, and those of the cells
-        ``within_radius(p, r)`` scans for any member p, the members as one run."""
-        cells = np.flatnonzero(np.diff(self.starts))
-        a, b = self.starts[cells], self.starts[cells + 1]
-        xy = np.take(self.pts, self.ids[: self.starts[-1]], axis=0)
-        lo = np.floor((np.minimum.reduceat(xy, a) - r) / self.cell) - self._lo.T
-        hi = np.floor((np.maximum.reduceat(xy, a) + r) / self.cell) - self._lo.T
-        return ((self.ids[i:j], self._window(c0, c1)) for i, j, c0, c1 in zip(a.tolist(), b.tolist(), lo, hi))
+    def windows(self, qs: np.ndarray, r: float):
+        """(rows, ids) for each occupied cell of the (m, 2) queries ``qs``, in
+        (column, row) order: the rows of ``qs`` in it, in row order, and the
+        ids of the cells that a radius-r ball around any of them reaches,
+        column by column, so those of the rows' own cell are one run."""
+        keys = self._keys(qs)
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        xy = np.take(qs, order, axis=0)
+        with np.errstate(over="ignore"):  # an overflow to inf clips to an edge cell
+            lo = np.floor((np.minimum.reduceat(xy, starts) - r) / self.cell).T - self._lo
+            hi = np.floor((np.maximum.reduceat(xy, starts) + r) / self.cell).T - self._lo
+        (x0, y0), (x1, y1) = (c.tolist() for c in self._clip(lo, hi))
+        for rows, i0, i1, j0, j1 in zip(np.split(order, starts[1:]), x0, x1, y0, y1):
+            col = np.arange(i0, i1) * self._ny
+            spans = zip(self.starts[col + j0].tolist(), self.starts[col + j1].tolist())
+            yield rows, np.concatenate([self.ids[:0], *(self.ids[a:b] for a, b in spans)])
 
     def any_within_radius(self, centers, r: float) -> np.ndarray:
         """Whether a live point lies within distance r of each of the (m, 2)
         centres, as an (m,) bool array.  Centres with a point in their 3x3
         cells (when three cells fit into r) or none in reach are settled in
-        numpy; the rest get a distance block."""
+        numpy; the rest are scanned over their ``windows``."""
         if r < 0:
             raise ValueError("radius must be non-negative")
         qs = _queries(centers)
@@ -153,45 +161,41 @@ class GridIndex:
             mid = ((cells >= 1) & (cells <= inner)).all(axis=0)
             hit = mid & (self._count(np.maximum(cells - 1, 1), np.minimum(cells + 1, inner)) > 0)
         near = self._count(np.floor(f - reach), np.floor(f + reach)) > 0
-        for rows, cell in _groups(cells, np.flatnonzero(near & ~hit)):
-            ids = self._window(np.floor(cell - reach), np.floor(cell + 1 + reach))
-            for s in row_blocks(len(rows), len(ids)):
-                with np.errstate(over="ignore"):  # an overflow to inf is out of reach
-                    d2 = sq_distances(np.take(qs, rows[s], axis=0), np.take(self.pts, ids, axis=0))
-                hit[rows[s]] = (d2 <= r * r).any(axis=1)
+        todo = np.flatnonzero(near & ~hit)
+        q = np.take(qs, todo, axis=0)
+        for rows, ids in self.windows(q, reach * self.cell):
+            for s, d2, *_ in pair_blocks(np.take(q, rows, axis=0), np.take(self.pts, ids, axis=0)):
+                hit[todo[rows[s]]] = (d2 <= r * r).any(axis=1)
         return hit
 
     def nearest_neighbor(self, queries) -> np.ndarray:
         """Id of the live point closest to each of the (m, 2) queries, ties to
-        the smallest id, as an (m,) int64 array.  Each query cell's window
-        grows, at least doubling, until its queries' best squared distances
-        beat any point outside, or it holds every point."""
+        the smallest id, as an (m,) int64 array.  The queries are scanned over
+        their ``windows``, with a radius that doubles from one cell for the
+        rows whose best squared distance does not beat every point outside."""
         n = self.starts[-1]
         if not n:
             raise EmptyIndexError("nearest_neighbor on an empty index")
         qs = _queries(queries)
-        out = np.empty(len(qs), dtype=np.int64)
-        for rows, cell in _groups(np.floor(self._clamped(qs) - self._lo), np.arange(len(qs))):
-            ring = 1.0
-            while True:
-                ids = self._window(cell - ring, cell + ring)
-                if not len(ids):
-                    ring *= 2
-                    continue
-                best = np.empty(len(rows))
-                for s in row_blocks(len(rows), len(ids)):
-                    with np.errstate(over="ignore"):  # overflows tie at inf, as in a scan
-                        d2 = sq_distances(np.take(qs, rows[s], axis=0), np.take(self.pts, ids, axis=0))
-                    best[s] = d2.min(axis=1)
-                    out[rows[s]] = np.where(d2 == best[s, None], ids, len(self.pts)).min(axis=1)
-                # a point outside the window is more than ``ring`` cells away
-                bound = self.cell * (ring - _SLACK)
-                left = best >= bound * bound * (1 - 1e-9) - 1e-300
-                if len(ids) == n or not left.any():
-                    break
-                rows, best = rows[left], best[left]
-                ring = max(2 * ring, float(np.ceil(np.sqrt(best.max()) / self.cell)) + 1)
+        out, no_id = np.empty(len(qs), dtype=np.int64), len(self.pts)
+        rows, reach = np.arange(len(qs)), self.cell
+        while len(rows):
+            q, left = np.take(qs, rows, axis=0), [rows[:0]]
+            # a point outside a window is more than ``bound`` away
+            bound = reach - _SLACK * self.cell
+            for grp, ids in self.windows(q, reach):
+                for s, d2, *_ in pair_blocks(np.take(q, grp, axis=0), np.take(self.pts, ids, axis=0)):
+                    best = d2.min(axis=1, initial=math.inf)  # overflows tie at inf, as in a scan
+                    out[rows[grp[s]]] = np.where(d2 == best[:, None], ids, no_id).min(axis=1, initial=no_id)
+                    if len(ids) < n:
+                        left.append(rows[grp[s][best >= bound * bound * (1 - 1e-9) - 1e-300]])
+            rows, reach = np.concatenate(left), 2 * reach
         return out
+
+    def _keys(self, q: np.ndarray) -> np.ndarray:
+        """Cell number column * rows + row of each row of ``q``."""
+        c = (np.floor(self._clamped(q)) - self._lo).astype(np.intp)
+        return c[0] * self._ny + c[1]
 
     def _clamped(self, q: np.ndarray) -> np.ndarray:
         """x / cell and y / cell of the rows of ``q``, shape (2, m), clamped
@@ -200,7 +204,7 @@ class GridIndex:
 
     def _clip(self, lo, hi):
         """Integer bounds [lo, hi + 1) of cell ranges, clamped at both ends."""
-        top = self.shape - 1 if lo.ndim == 1 else self.shape[:, None] - 1
+        top = self.shape[:, None] - 1
         return np.clip(lo, 0, top).astype(np.intp), np.clip(hi, 0, top).astype(np.intp) + 1
 
     def _count(self, lo, hi) -> np.ndarray:
@@ -209,13 +213,6 @@ class GridIndex:
         s[1:, 1:] = np.diff(self.starts).reshape(self.shape).cumsum(0).cumsum(1)
         (x0, y0), (x1, y1) = self._clip(lo, hi)
         return s[x1, y1] - s[x0, y1] - s[x1, y0] + s[x0, y0]
-
-    def _window(self, lo, hi) -> np.ndarray:
-        """Ids in the cells lo <= (column, row) <= hi."""
-        (x0, y0), (x1, y1) = self._clip(lo, hi)
-        col = np.arange(x0, x1) * self.shape[1]
-        spans = zip(self.starts[col + y0].tolist(), self.starts[col + y1].tolist())
-        return np.concatenate([self.ids[:0], *(self.ids[a:b] for a, b in spans)])
 
 
 def _at(u: float, lo: int, hi: int) -> int:
@@ -230,11 +227,3 @@ def _queries(q) -> np.ndarray:
         raise ValueError(f"queries must be an (m, 2) array of finite coordinates, got {q.shape}")
     return q
 
-
-def _groups(cells: np.ndarray, rows: np.ndarray):
-    """(rows, cell) for each distinct cell among the (2, m) ``cells[:, rows]``."""
-    c = cells[:, rows]
-    order = np.lexsort(c[::-1])
-    rows, c = rows[order], c[:, order]
-    starts = np.flatnonzero((np.diff(c, prepend=np.nan) != 0).any(axis=0))
-    return zip(np.split(rows, starts[1:]), c[:, starts].T)

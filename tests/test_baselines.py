@@ -187,3 +187,24 @@ def test_baselines_match_their_row_loops(kind, seed, k):
     for g in (1, 3, 10, 25):
         got = stratified_sample(data, StratifiedConfig(grid_cells_per_axis=g, k=k, seed=seed)).source_indices
         assert got.dtype == np.int64 and got.tolist() == stratified_oracle(data, g, k, seed)
+
+
+@pytest.mark.parametrize("g", [10**6, 3037000500, 10**12, 2**70, 2**1000])
+def test_stratified_grid_of_any_size_ranks_the_occupied_cells(g):
+    # cells far finer than the points: each point is its own cell, so the
+    # water-filling gives one unit to each of the first k cells in row-major
+    # order; a dense g-by-g grid would not fit in memory
+    rng = np.random.default_rng(3)
+    data = rng.uniform(0, 1, size=(200, 2))
+    sample = stratified_sample(data, StratifiedConfig(grid_cells_per_axis=g, k=17, seed=1))
+    assert sorted(sample.source_indices.tolist()) == sorted(np.lexsort(data.T)[:17].tolist())
+
+
+def test_stratified_past_the_last_cell_stays_in_it():
+    # g - 1 = 2**60 + 128 has no float; the nearest below, 2**60, is the cell
+    # of row 1, so the top edge row 2 must not be merged into it
+    g = 2**60 + 129
+    data = np.array([[0.0, 0.0], [0.0, 1.0 - 2.0**-52], [0.0, 1.0]])
+    for seed in range(10):
+        sample = stratified_sample(data, StratifiedConfig(grid_cells_per_axis=g, k=2, seed=seed))
+        assert sorted(sample.source_indices.tolist()) == [0, 1]

@@ -183,6 +183,12 @@ def test_usage_error_exits_2():
         ["sample", "--k", "3", "--epsilon", "1e-160"],  # 1/eps^2 overflows
         ["sample", "--k", "3", "--epsilon", "1e-300"],  # eps^2 underflows to 0
         ["evaluate", "--epsilon", "1e200"],  # eps^2 overflows
+        ["sample", "--k", "3", "--seed", "-1"],
+        ["sample", "--k", "3", "--method", "uniform", "--seed", "-1"],
+        ["sample", "--k", "3", "--method", "stratified", "--seed", "-7"],
+        ["sample", "--k", "3", "--method", "stratified", "--grid", str(2**1000 + 1)],  # past float64
+        ["evaluate", "--seed", "-2"],
+        ["gen", "--n", "5", "--seed", "-1"],
     ],
 )
 def test_out_of_range_flag_exits_2_without_traceback(argv, dataset, tmp_path, capsys):
@@ -351,3 +357,37 @@ def test_evaluate_on_huge_coordinates_exits_1_without_warnings(tmp_path, capsys)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: acceptance rate 0/1000000 below 1e-06"]
+
+
+def test_stratified_sample_on_a_huge_grid(dataset, tmp_path):
+    # a dense grid of 10**10 cells (or of 2**140) used to be allocated
+    out = tmp_path / "s.csv"
+    for g in (100_000, 2**70):
+        argv = ["sample", "--input", str(dataset), "--output", str(out), "--k", "7", "--method", "stratified"]
+        assert main([*argv, "--grid", str(g)]) == 0
+        assert len(read_sample_csv(out)) == 7
+
+
+@pytest.mark.parametrize("k, message", [(2, "C(5000,2) exceeds the budget"), (1, "5000x5000 weight matrix exceeds")])
+def test_exact_checks_its_budgets_before_the_weights(k, message, tmp_path, capsys, monkeypatch):
+    # the subset count is checked first, then the matrix size, before any O(n^2) work
+    monkeypatch.chdir(tmp_path)
+    write_points_csv(np.random.default_rng(2).uniform(0, 1, size=(5000, 2)), "big.csv")
+    monkeypatch.setattr("vizsample.exact.sq_distances", None)  # any pair arithmetic would raise
+    assert main(["exact", "--input", "big.csv", "--k", str(k)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 14.9 GiB for an array"), "error: Unable to allocate 14.9 GiB for an array"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_out_of_memory_exits_1(exc, line, dataset, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("vizsample.cli.evaluate", fail)
+    assert main(["evaluate", "--data", str(dataset), "--sample", str(dataset)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [line]

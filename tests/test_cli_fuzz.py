@@ -1,0 +1,132 @@
+"""Hypothesis over the CLI's flags and inputs: every run keeps the exit-code
+contract (0, 1 or 2), prints no traceback, and ``evaluate`` prints strict JSON."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from vizsample.cli import main
+from vizsample.dataio import gen_blobs, write_points_csv
+
+coord = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7e308, -1.7e308]),
+)
+
+
+def rows(max_size):
+    """Blobs as ``gen`` writes them, or any rows: none, duplicates, huge and tiny coordinates."""
+    blobs = st.tuples(st.integers(2, max_size), st.integers(1, 3), st.integers(0, 99)).map(lambda a: gen_blobs(*a))
+    odd = st.lists(st.tuples(coord, coord), max_size=max_size).map(lambda r: np.array(r, dtype=float).reshape(-1, 2))
+    return st.one_of(blobs, odd)
+
+
+def _values(typical, odd):
+    return typical, st.one_of(typical, odd)
+
+
+# (typical values, any values) per kind of flag; one argv draws all its flags from one side
+VALUES = {
+    "seed": _values(st.integers(0, 5), st.integers(-(2**64), 2**64)),
+    "k": _values(st.integers(1, 6), st.one_of(st.integers(-1, 62), st.integers(0, 10**9))),
+    "length": _values(
+        st.sampled_from(["0.05", "0.3", "1", "3"]),
+        st.sampled_from(["1e-300", "1e-160", "1e-12", "7", "1e150", "1e200", "0", "-1", "nan", "inf"]),
+    ),
+    "grid": _values(st.integers(1, 40), st.one_of(st.integers(-1, 0), st.integers(1, 2**70))),
+    "passes": _values(st.integers(1, 3), st.integers(-1, 0)),
+    "budget": _values(st.just("0.5"), st.sampled_from(["1e-9", "-1", "nan"])),
+    "points": _values(st.integers(1, 300), st.integers(-1, 2000)),
+    "n": _values(st.integers(1, 200), st.integers(-1, 2000)),
+    "blobs": _values(st.integers(1, 4), st.integers(0, 8)),
+    "cov": _values(st.sampled_from(["0", "1"]), st.sampled_from(["1e300", "-1", "nan", "inf"])),
+}
+
+
+def argv(side, *spec):
+    """Flags of ``spec``, each (flag, kind of value or list of choices,
+    required?); an optional flag is left out half the time."""
+    parts = []
+    for flag, kind, required in spec:
+        values = st.sampled_from(kind) if isinstance(kind, list) else VALUES[kind][side]
+        pair = values.map(lambda v, f=flag: [f, str(v)])
+        parts.append(pair if required else st.one_of(st.just([]), pair))
+    return st.tuples(*parts).map(lambda ps: [tok for p in ps for tok in p])
+
+
+def commands(side):
+    sample = argv(
+        side,
+        ("--method", ["vas", "uniform", "stratified"], False),
+        ("--k", "k", True),
+        ("--seed", "seed", False),
+        ("--epsilon", "length", False),
+        ("--cutoff", "length", False),
+        ("--grid", "grid", False),
+        ("--passes", "passes", False),
+        ("--mode", ["noes", "es", "esloc"], False),
+        ("--shuffle", ["on", "off"], False),
+        ("--time-budget-secs", "budget", False),
+    )
+    switches = st.sampled_from([[], ["--until-converged"], ["--density"], ["--until-converged", "--density"]])
+    evaluate = argv(
+        side,
+        ("--seed", "seed", False),
+        ("--points", "points", False),
+        ("--epsilon", "length", False),
+        ("--domain-radius", "length", False),
+        ("--stat", ["median", "mean"], False),
+        ("--format", ["json", "text"], False),
+    )
+    gen = argv(side, ("--n", "n", True), ("--blobs", "blobs", False), ("--seed", "seed", False), ("--cov", "cov", False))
+    exact = argv(side, ("--k", "k", True), ("--epsilon", "length", False))
+    # exact enumerates C(n, K) subsets in Python, so its inputs stay small
+    return st.one_of(
+        st.tuples(st.just("sample"), st.tuples(sample, switches).map(lambda t: t[0] + t[1]), rows(60)),
+        st.tuples(st.just("evaluate"), evaluate, rows(60)),
+        st.tuples(st.just("gen"), gen, st.just(None)),
+        st.tuples(st.just("exact"), exact, rows(10)),
+        st.tuples(st.just("export-mip"), exact, rows(20)),
+    )
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cmd=st.one_of(commands(0), commands(1)), subset=st.integers(0, 60))
+def test_cli_keeps_its_exit_code_contract(cmd, subset):
+    name, flags, data = cmd
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {"gen": ["--output", str(tmp / "out.csv")]}
+        if data is not None:
+            write_points_csv(data, tmp / "data.csv")
+            write_points_csv(data[:subset], tmp / "sample.csv")
+            files = {
+                "sample": ["--input", str(tmp / "data.csv"), "--output", str(tmp / "out.csv")],
+                "evaluate": ["--data", str(tmp / "data.csv"), "--sample", str(tmp / "sample.csv")],
+                "exact": ["--input", str(tmp / "data.csv")],
+                "export-mip": ["--input", str(tmp / "data.csv"), "--output", str(tmp / "model.lp")],
+            }
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([name, *flags, *files[name]])
+            except SystemExit as exc:
+                code = exc.code
+    event(f"{name} exit {code}")
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip(), "a failure names its cause"
+    if name == "evaluate" and code == 0 and "text" not in flags:
+        json.loads(out.getvalue(), parse_constant=_strict)

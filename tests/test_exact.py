@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from vizsample import exact
 from vizsample.errors import BudgetExceededError, NoEdgesError
 from vizsample.exact import (
     WeightedGraph,
@@ -177,3 +178,10 @@ def test_lp_solved_externally_matches_brute_force(tmp_path):
     assert m is not None
     _, best = brute_force_vas(wm, 2)
     assert float(m.group(1)) == pytest.approx(best, abs=1e-9)
+
+
+def test_weights_from_points_checks_its_size_before_allocating(monkeypatch):
+    monkeypatch.setattr(exact, "MAX_WEIGHT_CELLS", 16)
+    assert weights_from_points(np.zeros((4, 2)), UNIT).n == 4
+    with pytest.raises(BudgetExceededError, match="5x5 weight matrix exceeds the budget of 16 cells"):
+        weights_from_points(np.zeros((5, 2)), UNIT)

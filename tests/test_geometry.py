@@ -16,7 +16,6 @@ from vizsample.geometry import (
     kappa,
     kappa_tilde,
     make_params,
-    row_blocks,
     sq_distances,
 )
 from vizsample.interchange import ResponsibilitySet
@@ -240,7 +239,7 @@ def test_block_budget_does_not_change_pair_sums(monkeypatch, cells):
     params = make_params(0.5, 1.0)
     dense_rsp, dense_loss, dense_obj = _pair_results(pts, xs, params)
     monkeypatch.setattr(geometry, "BLOCK_CELLS", cells)
-    assert len(list(row_blocks(len(pts), len(pts)))) > 1
+    assert len(list(geometry.pair_blocks(pts, pts))) > 1
     rsp, loss, obj = _pair_results(pts, xs, params)
     for mode in rsp:
         assert np.array_equal(rsp[mode], dense_rsp[mode])

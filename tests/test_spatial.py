@@ -293,3 +293,46 @@ def test_batched_queries_on_huge_coordinates():
         assert idx.nearest_neighbor(qs).tolist() == scan_nearest_all(pts, qs).tolist()
         for r in (1e299, 1e308):
             assert idx.any_within_radius(qs, r).tolist() == scan_any_all(pts, qs, r).tolist()
+
+
+# -- the window walker ---------------------------------------------------------
+
+wide = st.floats(-1e3, 1e3, allow_nan=False) | lattice | st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pts=st.lists(st.tuples(coords, coords) | st.tuples(lattice, lattice), min_size=0, max_size=30),
+    qs=st.lists(st.tuples(wide, wide), min_size=0, max_size=30),
+    live=st.integers(0, 30),
+    r=st.sampled_from([0.0, 1e-300, 0.3, 1.0, 7.5, 1e3, 1e300, math.inf]),
+    cell=st.sampled_from([0.05, 1.0, 25.0]),
+)
+def test_windows_partition_the_queries_and_reach_every_id_in_range(pts, qs, live, r, cell):
+    # an index on the box [-5, 5]^2 holding the first ``live`` rows, so rows
+    # and queries lie outside it too, and it may be empty
+    pts, qs = np.array(pts, dtype=float).reshape(-1, 2), np.array(qs, dtype=float).reshape(-1, 2)
+    idx = GridIndex(cell, pts, ((-5.0, -5.0), (5.0, 5.0)))
+    for i in range(min(live, len(pts))):
+        idx.insert(i)
+    ids_live = idx.ids[: idx.starts[-1]].tolist()
+    groups = list(idx.windows(qs, r))
+    rows = [g.tolist() for g, _ in groups]
+    assert sorted(sum(rows, [])) == list(range(len(qs)))
+    keys = idx._keys(qs)
+    assert all(g == sorted(g) and len(set(keys[g])) == 1 for g in rows)
+    assert [keys[g[0]] for g in rows] == sorted({int(k) for k in keys})
+    # linear scan, less a margin for rounding: the slack of the callers'
+    # radii, and 1e-9 relative for coordinates far larger than a cell
+    reach = r * (1 - 1e-9) - 2.0**-10 * idx.cell
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, ids in groups:
+            window = set(ids.tolist())
+            assert len(window) == len(ids) and window <= set(ids_live)
+            for q in qs[g]:
+                d = np.hypot(*(pts[ids_live] - q).T)  # no overflow of a squared radius
+                if reach > 0:
+                    assert {i for i, di in zip(ids_live, d) if di <= reach} <= window
+                # and every id ``within_radius`` finds, as the esloc recompute needs
+                if math.isfinite(r):
+                    assert set(idx.within_radius(q, r).tolist()) <= window
