@@ -79,7 +79,7 @@ def _cmd_sample(args) -> int:
         )
     if args.density:
         sample.counts = attach_counts(sample.points, data)
-    write_sample_csv(sample, args.output, with_density=args.density)
+    write_sample_csv(sample, args.output)
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyFileError, EmptySampleError, ParseError
+from .errors import EmptyFileError, ParseError
 
 
 @dataclass
@@ -144,22 +144,20 @@ def write_points_csv(points: np.ndarray, path) -> None:
     _write_rows(path, "x,y\n", "%.17g,%.17g\n", pts)
 
 
-def write_sample_csv(sample: Sample, path, with_density: bool = False) -> None:
-    """Write a sample, optionally with the density ``count`` column."""
-    if not with_density:
+def write_sample_csv(sample: Sample, path) -> None:
+    """Write a sample, with the density ``count`` column when it carries counts."""
+    if sample.counts is None:
         write_points_csv(sample.points, path)
         return
-    if sample.counts is None:
-        raise EmptySampleError("with_density requested but the sample carries no counts")
     rows = np.empty((len(sample.points), 3), dtype=object)
     rows[:, :2], rows[:, 2] = sample.points, sample.counts
     _write_rows(path, "x,y,count\n", "%.17g,%.17g,%d\n", rows)
 
 
-def gen_blobs(n: int, blobs: int, seed: int, cov: float = 1.0, spread: float = 10.0) -> np.ndarray:
+def gen_blobs(n: int, blobs: int, seed: int, cov: float = 1.0) -> np.ndarray:
     """Seeded Gaussian-mixture generator used by the CLI and the test suite.
 
-    Centers are drawn uniformly in [0, spread)^2; each blob is isotropic with
+    Centers are drawn uniformly in [0, 10)^2; each blob is isotropic with
     variance ``cov``.  Points are distributed across blobs as evenly as n allows.
     """
     if n < 1:
@@ -169,7 +167,7 @@ def gen_blobs(n: int, blobs: int, seed: int, cov: float = 1.0, spread: float = 1
     if not (0 <= cov < np.inf):
         raise ValueError(f"cov must be a finite real >= 0, got {cov}")
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(0.0, spread, size=(blobs, 2))
+    centers = rng.uniform(0.0, 10.0, size=(blobs, 2))
     sizes = [n // blobs + (1 if i < n % blobs else 0) for i in range(blobs)]
     parts = [
         c + rng.normal(0.0, np.sqrt(cov), size=(m, 2))

@@ -11,7 +11,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -67,6 +66,7 @@ class WeightedGraph:
             seen.add(key)
 
 
+@np.errstate(over="ignore")  # huge coordinates: an inf squared distance weighs 0
 def weights_from_points(points: np.ndarray, params: KernelParams) -> WeightMatrix:
     """Pairwise kappa_tilde matrix of a point set, of at most ``MAX_WEIGHT_CELLS`` cells."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -159,46 +159,39 @@ def induced_edge_weight(g: WeightedGraph, subset) -> float:
     return sum(w for u, v, w in g.edges if u in members and v in members)
 
 
-def export_mip_lp(wm: WeightMatrix, k: int, sink) -> None:
-    """Write the binary linearized exact model in LP text format.
+def export_mip_lp(wm: WeightMatrix, k: int, path) -> None:
+    """Write the binary linearized exact model in LP text format to ``path``.
 
     Variables: a<i> selects point i; b<i>_<j> (i < j, 1-based) linearizes
     a<i> AND a<j> via the three rows c<i>_<j>_1..3.  The objective minimizes
     the pair-weight sum over selected pairs subject to sum a<i> = K.
     """
-    if wm.n < 2:
+    n = wm.n
+    if n < 2:
         raise ValueError("model requires n >= 2")
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
-    if k > wm.n:
-        raise KTooLargeError(f"k={k} exceeds dataset size {wm.n}")
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w", encoding="utf-8") as fh:
-            _write_lp(wm, k, fh)
-    else:
-        _write_lp(wm, k, sink)
-
-
-def _write_lp(wm: WeightMatrix, k: int, fh: io.TextIOBase) -> None:
-    n = wm.n
-    fh.write("Minimize\n")
-    terms = [
-        f"+ {format(wm.w[i - 1, j - 1], '.17g')} b{i}_{j}"
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    fh.write(" obj: " + " ".join(terms) + "\n")
-    fh.write("Subject To\n")
-    fh.write(" card: " + " + ".join(f"a{i}" for i in range(1, n + 1)) + f" = {k}\n")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            fh.write(f" c{i}_{j}_1: b{i}_{j} - a{i} <= 0\n")
-            fh.write(f" c{i}_{j}_2: b{i}_{j} - a{j} <= 0\n")
-            fh.write(f" c{i}_{j}_3: b{i}_{j} - a{i} - a{j} >= -1\n")
-    fh.write("Binary\n")
-    for i in range(1, n + 1):
-        fh.write(f" a{i}\n")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            fh.write(f" b{i}_{j}\n")
-    fh.write("End\n")
+    if k > n:
+        raise KTooLargeError(f"k={k} exceeds dataset size {n}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("Minimize\n")
+        terms = [
+            f"+ {format(wm.w[i - 1, j - 1], '.17g')} b{i}_{j}"
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+        ]
+        fh.write(" obj: " + " ".join(terms) + "\n")
+        fh.write("Subject To\n")
+        fh.write(" card: " + " + ".join(f"a{i}" for i in range(1, n + 1)) + f" = {k}\n")
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                fh.write(f" c{i}_{j}_1: b{i}_{j} - a{i} <= 0\n")
+                fh.write(f" c{i}_{j}_2: b{i}_{j} - a{j} <= 0\n")
+                fh.write(f" c{i}_{j}_3: b{i}_{j} - a{i} - a{j} >= -1\n")
+        fh.write("Binary\n")
+        for i in range(1, n + 1):
+            fh.write(f" a{i}\n")
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                fh.write(f" b{i}_{j}\n")
+        fh.write("End\n")

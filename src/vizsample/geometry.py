@@ -80,12 +80,13 @@ class KernelParams:
         return 0.5 * self.inv_eps2  # 2 eps^2 can overflow where eps^2 does not
 
 
-def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sq_distances(a: np.ndarray, b: np.ndarray, d2=None, dy=None) -> np.ndarray:
     """Squared distances dx*dx + dy*dy, shape (m, n), between float arrays
-    ``a`` (m, 2) and ``b`` (n, 2); a single point (2,) drops its axis.  It
-    converts nothing: the optimizer calls it on every step."""
-    d2 = a[..., 0, None] - b[..., 0]
-    dy = a[..., 1, None] - b[..., 1]
+    ``a`` (m, 2) and ``b`` (n, 2); a single point (2,) drops its axis.
+    ``d2`` (the result) and ``dy`` are optional output buffers of that shape.
+    It converts nothing: the optimizer calls it on every step."""
+    d2 = np.subtract(a[..., 0, None], b[..., 0], out=d2)
+    dy = np.subtract(a[..., 1, None], b[..., 1], out=dy)
     d2 *= d2
     dy *= dy
     d2 += dy
@@ -127,8 +128,7 @@ def pair_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
     glibc hands the heap top back to the system and the next block
     page-faults it in again, which costs more than the kernel."""
     m, n = len(a), len(b)
-    bx = np.ascontiguousarray(b[:, 0])
-    by = np.ascontiguousarray(b[:, 1])
+    b = np.asfortranarray(b)  # contiguous columns
     step = max(1, BLOCK_CELLS // max(1, n))
     cells = min(m, step) * n
     bufs = (np.empty(cells), np.empty(cells), np.empty(cells, bool))
@@ -136,13 +136,8 @@ def pair_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
         c0 = s.start if upper else 0
         shape = (s.stop - s.start, n - c0)
         d2, w, keep = (x[: shape[0] * shape[1]].reshape(shape) for x in bufs)
-        # sq_distances' arithmetic, in the tile buffers
         with np.errstate(over="ignore"):  # an inf is out of every reach
-            np.subtract(a[s, 0, None], bx[c0:], out=d2)
-            np.subtract(a[s, 1, None], by[c0:], out=w)
-            d2 *= d2
-            w *= w
-            d2 += w
+            sq_distances(a[s], b[c0:], d2, w)
         yield s, d2, w, keep
 
 
@@ -159,6 +154,7 @@ def kernel_blocks(a: np.ndarray, b: np.ndarray, inv: float, cutoff2: float | Non
         yield s, w
 
 
+@np.errstate(over="ignore")  # huge coordinates: an inf squared distance weighs 0
 def _one_pair(a, b, inv: float) -> float:
     d2 = sq_distances(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     return float(gauss(d2, inv)[0])
@@ -180,8 +176,9 @@ def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts.min(axis=0), pts.max(axis=0)
 
 
-def default_epsilon(points: np.ndarray, cutoff_factor: float = DEFAULT_CUTOFF_FACTOR) -> KernelParams:
-    """Bandwidth heuristic: bounding-box diagonal / 100.
+def default_epsilon(points: np.ndarray) -> KernelParams:
+    """Bandwidth heuristic: bounding-box diagonal / 100, with the default
+    ``DEFAULT_CUTOFF_FACTOR`` * eps cutoff.
 
     The diagonal over-estimates the max pairwise distance by at most sqrt(2)
     and avoids the O(n^2) exact computation.  Raises ``ZeroExtentError`` when
@@ -197,7 +194,7 @@ def default_epsilon(points: np.ndarray, cutoff_factor: float = DEFAULT_CUTOFF_FA
         raise ZeroExtentError("all points coincide; specify epsilon explicitly")
     eps = diag / 100.0
     try:
-        return KernelParams(epsilon=eps, cutoff_radius=cutoff_factor * eps)
+        return KernelParams(epsilon=eps, cutoff_radius=DEFAULT_CUTOFF_FACTOR * eps)
     except ValueError as exc:
         raise ExtentRangeError(f"no bandwidth from a bounding-box diagonal of {diag:g}: {exc}") from None
 

@@ -103,18 +103,18 @@ class RunStats:
         return self.state.exact_objective() if self.state else 0.0
 
     @cached_property
-    def max_drift(self) -> float:  # K = N streams nothing: no final recompute
-        return max(self.drift, self.state.recompute()) if self.state and self.passes_run else self.drift
+    def max_drift(self) -> float:
+        return max(self.drift, self.state.recompute()) if self.state else self.drift
 
 
 class ResponsibilitySet:
     """The optimizer state: points, responsibilities, insertion order.
 
     Capacity is K+1; the set transiently holds K+1 entries between ``expand``
-    and ``shrink``.  In ``esloc`` mode a grid index over the members is kept
-    in sync; its ids are slots, relabelled in place when a removal moves the
-    last slot, so the cell order of its members is their insertion order.
-    The K+1-th entry joins the grid only when ``shrink`` evicts another.
+    and ``shrink``.  ``order`` numbers the entries in insertion order; only
+    its order among the entries counts.  In ``esloc`` mode a grid index holds
+    every entry; its ids are slots, relabelled in place when a removal moves
+    the last slot, so the cell order of its members is their insertion order.
     ``box`` (lo, hi) is the region the points come from, which sizes that
     grid; points outside it are still found, in the grid's edge cells.
     """
@@ -190,7 +190,7 @@ class ResponsibilitySet:
         self.rsp[slot] = float(contrib.sum())
         self.order[slot] = self._seq
         self.src[slot] = source_index
-        if self.index is not None and slot < self.k:
+        if self.index is not None:
             self.index.insert(slot)
         self._seq += 1
         self.n += 1
@@ -213,13 +213,10 @@ class ResponsibilitySet:
             if j != newest_slot and self.pts[j].tolist() == self.pts[newest_slot].tolist():
                 j = newest_slot
 
-        replaced = j != newest_slot
-        if replaced and self.index is not None:
-            self.index.insert(newest_slot)  # the newest stays: it joins the grid now
         slots, contrib = self._weights_to(self.pts[j])
         self.rsp[slots] -= contrib  # rsp[j] goes with its slot
         self._remove_slot(j)
-        return replaced
+        return j != newest_slot
 
     def _top(self, top: float, also: np.ndarray = np.arange(0)) -> int:
         """Newest slot whose responsibility is ``top``, among the entries and ``also``."""
@@ -229,9 +226,9 @@ class ResponsibilitySet:
     def _remove_slot(self, j: int) -> None:
         last = self.n - 1
         self.last_removed_src = int(self.src[j])
-        if j != last:  # else j is the newest, which is not in the grid
-            if self.index is not None:
-                self.index.remove(j)
+        if self.index is not None:
+            self.index.remove(j)
+        if j != last:
             self.pts[j] = self.pts[last]
             self.rsp[j] = self.rsp[last]
             self.order[j] = self.order[last]
@@ -254,7 +251,7 @@ class ResponsibilitySet:
     def step(self, point, source_index: int = -1) -> bool:
         """Process one streamed point; returns True when it replaced a member.
         ``es`` and ``esloc`` append and shrink only a replacement: a point
-        ``shrink`` would evict again moves nothing but the insertion counter."""
+        ``shrink`` would evict again writes nothing."""
         if self.n != self.k:
             raise ValueError("step requires a set at rest (|R| = K)")
         p = np.asarray(point, dtype=float)
@@ -268,7 +265,6 @@ class ResponsibilitySet:
         g = self.rsp[slots] + w
         top = max(self._rsp_max, g.max(initial=-np.inf))
         if w.sum() >= top or self.pts[j := self._top(top, slots[g == top])].tolist() == p.tolist():
-            self._seq += 1
             return False
         self._append(p, source_index, slots, w)
         return self.shrink(j)
@@ -276,7 +272,7 @@ class ResponsibilitySet:
     def reject_run(self, cands: np.ndarray) -> int:
         """Settle the leading rows of ``cands`` (m, 2) that ``step`` would
         drop, all scored in one block against the same state; returns how
-        many, L, and moves the insertion counter by L, as L steps would.
+        many.  It writes nothing, as those steps would not.
 
         A row is settled when its weight sum, less a 1e-9 relative margin,
         exceeds the largest member responsibility with its weights added:
@@ -295,19 +291,17 @@ class ResponsibilitySet:
         w += self.rsp[:n]
         top = w.max(axis=1)
         ok = np.where(exact, total >= top, total * (1.0 - 1e-9) > top)
-        settled = len(ok) if ok.all() else int(ok.argmin())
-        self._seq += settled
-        return settled
+        return len(ok) if ok.all() else int(ok.argmin())
 
     def recompute(self) -> float:
         """Recompute responsibilities from scratch (mode-consistent truncation;
-        ``esloc`` at rest sums cell by cell over ``windows``); returns the max drift."""
+        ``esloc`` sums cell by cell over ``windows``); returns the max drift."""
         n = self.n
         if n == 0:
             return 0.0
         fresh = np.empty(n)
         groups = [(np.arange(n),) * 2]
-        if self.index is not None and self.index.starts[-1] == n:
+        if self.index is not None:
             ids = self.index.ids[:n]  # the members in cell order: one group a cell
             groups = ((ids[rows], cols) for rows, cols in self.index.windows(self.pts[ids], self.params.cutoff_radius))
         for rows, cols in groups:
@@ -330,14 +324,16 @@ def run_interchange(
     """Run the streaming local search over ``data`` and return the sample.
 
     The state is seeded with the first K streamed points (after the optional
-    seeded shuffle of the stream order) by one ``load``; every later point
-    goes through one ``step``, or is settled in a ``reject_run`` block whose
-    first unsettled row goes through ``step``.  A block has one row per
-    candidate dropped so far, halved at each replacement, at most
-    ``REJECT_BLOCK_CELLS // K`` and none past the next recompute.  Passes
-    repeat over the same order and stop early when a full pass makes no
-    replacement, ``until_converged`` after at most ``PASS_CAP`` passes; the
-    time budget is checked after every step or block.
+    seeded shuffle of the stream order) by one ``load``.  Every pass streams
+    the whole order and skips the current members, the seeds among them;
+    every other point goes through one ``step``, or is settled in a
+    ``reject_run`` block whose first unsettled row goes through ``step``.  A
+    block has one row per candidate dropped so far, halved at each
+    replacement, at most ``REJECT_BLOCK_CELLS // K`` and none past the next
+    recompute.  Passes stop early when a full pass makes no replacement (so
+    K = N stops after one), ``until_converged`` after at most ``PASS_CAP``
+    passes; the time budget is checked after every step or block.  A traced
+    run appends the exact objective once per streamed candidate.
     """
     data = np.asarray(data, dtype=float).reshape(-1, 2)
     n = len(data)
@@ -356,15 +352,10 @@ def run_interchange(
     state.load(data[order[: cfg.k]], order[: cfg.k])
 
     stats = RunStats(points_seen=cfg.k, state=state)
-    if cfg.k == n:
-        stats.stop_reason = "converged"
-        stats.wall_time = time.perf_counter() - t0
-        return _to_sample(state), stats
-
     max_passes = PASS_CAP if cfg.until_converged else cfg.passes
     # rows of one reject_run block; 0 keeps every candidate on ``step``
     rows = REJECT_BLOCK_CELLS // cfg.k
-    if cfg.mode == "noes" or cfg.record_trace or rows < 8:
+    if cfg.mode == "noes" or rows < 8:
         rows = 0
     # rows of the next block; halving at a replacement keeps frequent
     # replacements on ``step``, where a block would be scored in vain
@@ -373,34 +364,35 @@ def run_interchange(
     out_of_time = False
     member = np.zeros(n, dtype=bool)
     member[order[: cfg.k]] = True
-    for p in range(max_passes):
-        stream = order[cfg.k :] if p == 0 else order
+    for _ in range(max_passes):
         pass_repl = 0
         pos = 0
-        while pos < len(stream):
-            ii = int(stream[pos])
+        while pos < n:
+            ii = int(order[pos])
             if member[ii]:
                 # swapping a member with itself can never improve; skipping
                 # also avoids fp-noise evictions between exact duplicates
                 pos += 1
                 continue
-            b = min(run, rows, len(stream) - pos, cfg.recompute_interval - since_recompute)
+            b = min(run, rows, n - pos, cfg.recompute_interval - since_recompute)
             settled_all = False
             if b >= 2:
-                window = stream[pos : pos + b + cfg.k]
+                window = order[pos : pos + b + cfg.k]
                 offs = np.flatnonzero(~member[window])[:b]
                 settled = state.reject_run(np.take(data, window[offs], axis=0))
                 stats.batch_rejects += settled
                 run += settled
                 stats.points_seen += settled
                 since_recompute += settled
+                if cfg.record_trace and settled:  # a settled row leaves the state as it is
+                    stats.objective_trace += [state.exact_objective()] * settled
                 settled_all = settled == len(offs)
                 if settled_all:
                     pos += int(offs[-1]) + 1
                 else:
                     # the first candidate not clearly dropped goes through step
                     pos += int(offs[settled])
-                    ii = int(stream[pos])
+                    ii = int(order[pos])
             if not settled_all:
                 replaced = state.step(data[ii], ii)
                 if replaced:

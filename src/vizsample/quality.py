@@ -201,6 +201,7 @@ def submodular_f(points: np.ndarray, params: KernelParams) -> float:
     return float(sum(np.triu(1.0 - w, 1).sum() for _, w in blocks))
 
 
+@np.errstate(over="ignore")  # huge coordinates: an inf squared distance weighs 0
 def marginal_gain(points: np.ndarray, x, params: KernelParams) -> float:
     """Closed-form f(S + {x}) - f(S) = sum_i (1 - kappa_tilde(x, s_i))."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)

@@ -227,6 +227,23 @@ def test_one_row_input_exits_1(command, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "model.lp").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["exact", "export-mip"])
+def test_huge_coordinates_weigh_zero_with_nothing_on_stderr(command, tmp_path, capsys):
+    # squared distances overflow to inf, whose kernel weight is 0
+    data = tmp_path / "huge.csv"
+    data.write_text("x,y\n1e300,0\n-1e300,0\n0,1\n")
+    model = tmp_path / "model.lp"
+    argv = [command, "--input", str(data), "--k", "2", "--epsilon", "1"]
+    assert main(argv + (["--output", str(model)] if command == "export-mip" else [])) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "exact":
+        assert json.loads(out) == {"indices": [0, 1], "objective": 0.0}
+    else:
+        assert " obj: + 0 b1_2 + 0 b1_3 + 0 b2_3\n" in model.read_text()
+
+
 @pytest.mark.parametrize("method", ["vas", "uniform", "stratified"])
 def test_overflowing_bounding_box_exits_1(method, tmp_path, capsys):
     data = tmp_path / "wide.csv"

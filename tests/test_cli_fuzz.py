@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -101,6 +102,7 @@ def _strict(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cmd=st.one_of(commands(0), commands(1)), subset=st.integers(0, 60))
 def test_cli_keeps_its_exit_code_contract(cmd, subset):

@@ -12,7 +12,7 @@ from vizsample.dataio import (
     write_points_csv,
     write_sample_csv,
 )
-from vizsample.errors import EmptyFileError, EmptySampleError, ParseError
+from vizsample.errors import EmptyFileError, ParseError
 
 
 def test_points_roundtrip_is_bit_identical(tmp_path):
@@ -33,7 +33,7 @@ def test_sample_roundtrip_with_counts(tmp_path):
         counts=np.array([7, 2]),
     )
     path = tmp_path / "s.csv"
-    write_sample_csv(s, path, with_density=True)
+    write_sample_csv(s, path)
     assert path.read_text().splitlines()[0] == "x,y,count"
     back = read_sample_csv(path)
     assert np.array_equal(back.points, s.points)
@@ -47,12 +47,6 @@ def test_sample_roundtrip_without_counts(tmp_path):
     back = read_sample_csv(path)
     assert back.counts is None
     assert np.array_equal(back.points, s.points)
-
-
-def test_density_write_requires_counts(tmp_path):
-    s = Sample(points=np.array([[0.0, 1.0]]), source_indices=np.array([0]), method="test")
-    with pytest.raises(EmptySampleError):
-        write_sample_csv(s, tmp_path / "x.csv", with_density=True)
 
 
 def test_bad_header(tmp_path):
@@ -178,7 +172,7 @@ def test_numpy_fast_path_parses_written_files(tmp_path, with_counts):
     pts = gen_blobs(500, 3, seed=4)
     counts = np.arange(500) * 7 - 3
     path = tmp_path / "s.csv"
-    write_sample_csv(Sample(pts, np.arange(500), "t", counts), path, with_density=with_counts)
+    write_sample_csv(Sample(pts, np.arange(500), "t", counts if with_counts else None), path)
     body = path.read_text().splitlines()[1:]
     fast_pts, fast_counts = dataio._fast_rows(body, with_counts)
     assert fast_pts.tobytes() == pts.tobytes()
@@ -200,7 +194,7 @@ def test_written_bytes_match_the_per_value_format(tmp_path_factory, rows, with_c
     pts = np.array([r[:2] for r in rows], dtype=float).reshape(-1, 2)
     counts = np.array([r[2] for r in rows], dtype=np.int64)
     path = tmp_path_factory.mktemp("csv") / "s.csv"
-    write_sample_csv(Sample(pts, np.arange(len(pts)), "t", counts), path, with_density=with_counts)
+    write_sample_csv(Sample(pts, np.arange(len(pts)), "t", counts if with_counts else None), path)
     lines = ["x,y,count" if with_counts else "x,y"]
     for x, y, c in rows:
         lines.append(",".join([format(x, ".17g"), format(y, ".17g")] + [str(c)] * with_counts))

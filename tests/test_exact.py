@@ -180,6 +180,12 @@ def test_lp_solved_externally_matches_brute_force(tmp_path):
     assert float(m.group(1)) == pytest.approx(best, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weights_of_huge_coordinates_are_zero_without_a_warning():
+    wm = weights_from_points(np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1.0]]), UNIT)
+    assert not wm.w.any()
+
+
 def test_weights_from_points_checks_its_size_before_allocating(monkeypatch):
     monkeypatch.setattr(exact, "MAX_WEIGHT_CELLS", 16)
     assert weights_from_points(np.zeros((4, 2)), UNIT).n == 4

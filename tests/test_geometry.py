@@ -82,6 +82,13 @@ def test_kappa_tilde_strictly_decreasing_in_distance(d0, gap1, gap2):
     assert vals[0] > vals[1] > vals[2]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernels_of_huge_coordinates_are_zero_without_a_warning():
+    # the squared distance overflows to inf, which weighs 0
+    a, b = (1e300, 0.0), (-1e300, 0.0)
+    assert kappa(a, b, UNIT) == 0.0 and kappa_tilde(a, b, UNIT) == 0.0
+
+
 def test_default_epsilon_three_four_five():
     pts = np.array([[0, 0], [3, 0], [0, 4], [3, 4]], dtype=float)
     p = default_epsilon(pts)

@@ -165,6 +165,12 @@ def test_submodular_complement_identity():
     assert submodular_f(np.array([[1.0, 1.0]]), UNIT) == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_marginal_gain_of_huge_coordinates_without_a_warning():
+    # the squared distances overflow to inf, which weighs 0: a full gain of 1 each
+    assert marginal_gain(np.array([[1e300, 0.0], [0.0, 1.0]]), (-1e300, 0.0), UNIT) == 2.0
+
+
 def test_marginal_gain_matches_finite_difference():
     rng = np.random.default_rng(33)
     pts = rng.uniform(0, 3, size=(9, 2))
