@@ -28,41 +28,5 @@ from .quality import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InterchangeConfig",
-    "KernelParams",
-    "QualityReport",
-    "ResponsibilitySet",
-    "RunStats",
-    "Sample",
-    "StratifiedConfig",
-    "WeightMatrix",
-    "WeightedGraph",
-    "attach_counts",
-    "balanced_allocation",
-    "bound_check",
-    "brute_force_vas",
-    "default_epsilon",
-    "evaluate",
-    "export_mip_lp",
-    "gen_blobs",
-    "kappa",
-    "kappa_tilde",
-    "log_loss_ratio",
-    "make_params",
-    "marginal_gain",
-    "mc_loss",
-    "point_loss",
-    "read_points_csv",
-    "read_sample_csv",
-    "reduce_mes_to_vas",
-    "reservoir_sample",
-    "run_interchange",
-    "solve_mes_brute",
-    "stratified_sample",
-    "submodular_f",
-    "surrogate_objective",
-    "weights_from_points",
-    "write_points_csv",
-    "write_sample_csv",
-]
+# the classes and functions imported above, not the submodules they come from
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and callable(v))

@@ -11,7 +11,9 @@
 - ``bound_check``: the normalized 1/4 additive bound between an approximate
   objective and the optimum.
 
-Every kernel sum here walks ``geometry.kernel_blocks``.
+The pair sums walk ``geometry.kernel_blocks``.  The point losses walk grid
+windows (``GridIndex.scan``) that skip only points below e**-40 times a row's
+largest weight, so a sum over n points loses at most n * e**-40 of itself.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainRejectionError, EmptySampleError, ExtentRangeError, LossRangeError
-from .geometry import KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
+from .errors import DomainRejectionError, EmptySampleError, ExtentRangeError, LossRangeError, NonFiniteInputError
+from .geometry import EXP_FLOOR, KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
 from .spatial import GridIndex
 
 _ACCEPT_FLOOR = 1e-6
@@ -48,7 +50,7 @@ class QualityReport:
 def surrogate_objective(points: np.ndarray, params: KernelParams) -> float:
     """Sum of kappa_tilde over unordered pairs; 0 for a singleton.  Walks
     ``kernel_blocks``, so large samples never materialize the pair matrix."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = _finite(points, "sample")
     if len(pts) < 1:
         raise EmptySampleError("objective of an empty sample")
     blocks = kernel_blocks(pts, pts, params.inv_2eps2, upper=True)
@@ -56,29 +58,43 @@ def surrogate_objective(points: np.ndarray, params: KernelParams) -> float:
 
 
 def point_loss(x, sample_points: np.ndarray, params: KernelParams) -> float:
-    """Quality degradation 1 / sum_i kappa(x, s_i); inf when the sum is 0,
-    which it is when every kappa(x, s_i) is below e**-700 (``EXP_FLOOR``)."""
+    """Quality degradation 1 / sum_i kappa(x, s_i), summed as ``point_losses``
+    sums it; inf when every kappa(x, s_i) is below e**-700 (``EXP_FLOOR``)."""
     return float(point_losses(np.asarray(x, dtype=float).reshape(1, 2), sample_points, params)[0])
 
 
+@np.errstate(over="ignore", divide="ignore")  # a vanishing sum maps to the +inf loss sentinel
 def point_losses(xs: np.ndarray, sample_points: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Vectorized ``point_loss`` for an (m, 2) array of plot locations."""
-    S = np.asarray(sample_points, dtype=float).reshape(-1, 2)
+    """Vectorized ``point_loss`` for an (m, 2) array of plot locations.
+
+    Each row sums kappa over a ``GridIndex.scan`` window of the n sample
+    points.  A row is settled once every point outside its window weighs
+    below e**-40 times its largest weight, or 0 (past the e**-700 reach), so
+    a sum loses at most n * e**-40 of itself.  Cells of sqrt(45) eps settle
+    the rows with a point within sqrt(5) eps in their first window."""
+    S = _finite(sample_points, "sample")
     if len(S) < 1:
         raise EmptySampleError("point loss against an empty sample")
-    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-    out = np.empty(len(xs))
-    for s, w in kernel_blocks(xs, S, params.inv_eps2):
-        denom = w.sum(axis=1)
-        # a vanishing denominator maps to the +inf loss sentinel
-        with np.errstate(divide="ignore", over="ignore"):
-            out[s] = 1.0 / denom
-    return out
+    xs, inv = _finite(xs, "plot locations"), params.inv_eps2
+    sums = np.empty(len(xs))
+
+    def visit(rows, ids, far2, d2, w, keep):
+        best = d2.min(axis=1, initial=math.inf)
+        sums[rows] = gauss(d2, inv, None, w, keep).sum(axis=1)
+        return (best * inv + 40 <= far2 * inv) | (far2 * inv > -EXP_FLOOR)
+
+    GridIndex(math.sqrt(45.0) * params.epsilon, S).scan(xs, visit)
+    return 1.0 / sums
 
 
-def draw_domain_points(
-    data: np.ndarray, n_points: int, seed: int, domain_radius: float
-) -> np.ndarray:
+def _finite(points, what: str) -> np.ndarray:
+    pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise NonFiniteInputError(f"{what} contains NaN or infinite coordinates")
+    return pts
+
+
+def draw_domain_points(data: np.ndarray, n_points: int, seed: int, domain_radius: float) -> np.ndarray:
     """Seeded uniform points in the data bounding box, kept only when within
     ``domain_radius`` of some dataset point, until ``n_points`` are accepted.
 
@@ -115,9 +131,16 @@ def draw_domain_points(
     return np.concatenate(accepted)[:n_points]
 
 
+def _median(a: np.ndarray) -> float:
+    """Bitwise ``np.median`` of a NaN-free 1-D array, without the ``numpy.ma``
+    import (about 6 ms) that ``np.median`` costs a process."""
+    mid = [(len(a) - 1) // 2, len(a) // 2]
+    return float(np.mean(np.partition(a, mid)[mid[0] : mid[1] + 1]))
+
+
 def _stat(losses: np.ndarray, stat: str) -> float:
     if stat == "median":
-        return float(np.median(losses))
+        return _median(losses)
     if stat == "mean":
         return float(np.mean(losses))
     raise ValueError(f"unknown statistic {stat!r}")
@@ -182,7 +205,7 @@ def evaluate(
     report = QualityReport(
         surrogate_objective=surrogate_objective(sample_points, params),
         mc_loss_mean=float(np.mean(losses)),
-        mc_loss_median=float(np.median(losses)),
+        mc_loss_median=_median(losses),
         log_loss_ratio=_log_ratio(losses, xs, data, params, stat),
         n_mc_points=n_points,
         seed=seed,

@@ -16,10 +16,11 @@ same range at both ends, which is monotone, so no query loses a row.
 
 Radius queries take one centre at a time (truncated pair-weight updates).
 Batched queries take an (m, 2) array: ``windows`` groups its rows by
-occupied cell and yields the ids that a ball around each group reaches,
-and the ``esloc`` recompute, the membership test (the Monte-Carlo domain)
-and the nearest-neighbor search (the density pass) walk the
-``geometry.pair_blocks`` tiles of each group against its window.
+occupied cell and yields the ids that a ball around each group reaches.
+The ``esloc`` recompute and the membership test (the Monte-Carlo domain)
+walk the ``geometry.pair_blocks`` tiles of each group against its window;
+``scan`` also re-windows the rows left open with a doubled radius (the
+nearest-neighbor search of the density pass, and the point losses).
 The ``sq_distances`` arithmetic decides every answer, so each is the linear
 scan's (see the tests).  Closed balls: squared distance <= r*r; nearest ties
 go to the smallest id; single writer, and readers are safe between mutations.
@@ -170,27 +171,39 @@ class GridIndex:
 
     def nearest_neighbor(self, queries) -> np.ndarray:
         """Id of the live point closest to each of the (m, 2) queries, ties to
-        the smallest id, as an (m,) int64 array.  The queries are scanned over
-        their ``windows``, with a radius that doubles from one cell for the
-        rows whose best squared distance does not beat every point outside."""
-        n = self.starts[-1]
-        if not n:
+        the smallest id, as an (m,) int64 array, from a ``scan`` that settles
+        the rows whose best squared distance beats every point outside."""
+        if not self.starts[-1]:
             raise EmptyIndexError("nearest_neighbor on an empty index")
         qs = _queries(queries)
         out, no_id = np.empty(len(qs), dtype=np.int64), len(self.pts)
+
+        def visit(rows, ids, far2, d2, *_):
+            best = d2.min(axis=1, initial=math.inf)  # overflows tie at inf, as in a scan
+            out[rows] = np.where(d2 == best[:, None], ids, no_id).min(axis=1, initial=no_id)
+            return best < far2
+
+        self.scan(qs, visit)
+        return out
+
+    def scan(self, qs: np.ndarray, visit) -> None:
+        """Walk the ``pair_blocks`` tiles of the (m, 2) queries ``qs`` against
+        their ``windows``, with a radius that doubles from one cell, until every
+        row is settled: ``visit(rows, ids, far2, d2, w, keep)`` gets a tile's rows
+        of ``qs``, window ids, ``far2`` (below the d2 of every id outside) and the
+        tile, and says which rows it settles; a window of all ids settles all."""
         rows, reach = np.arange(len(qs)), self.cell
         while len(rows):
             q, left = np.take(qs, rows, axis=0), [rows[:0]]
             # a point outside a window is more than ``bound`` away
             bound = reach - _SLACK * self.cell
+            far2 = bound * bound * (1 - 1e-9) - 1e-300
             for grp, ids in self.windows(q, reach):
-                for s, d2, *_ in pair_blocks(np.take(q, grp, axis=0), np.take(self.pts, ids, axis=0)):
-                    best = d2.min(axis=1, initial=math.inf)  # overflows tie at inf, as in a scan
-                    out[rows[grp[s]]] = np.where(d2 == best[:, None], ids, no_id).min(axis=1, initial=no_id)
-                    if len(ids) < n:
-                        left.append(rows[grp[s][best >= bound * bound * (1 - 1e-9) - 1e-300]])
+                for s, *tile in pair_blocks(np.take(q, grp, axis=0), np.take(self.pts, ids, axis=0)):
+                    done = visit(rows[grp[s]], ids, far2, *tile)
+                    if len(ids) < self.starts[-1]:
+                        left.append(rows[grp[s][~done]])
             rows, reach = np.concatenate(left), 2 * reach
-        return out
 
     def _keys(self, q: np.ndarray) -> np.ndarray:
         """Cell number column * rows + row of each row of ``q``."""

@@ -1,16 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vizsample import geometry
-from vizsample.errors import DomainRejectionError, EmptySampleError
-from vizsample.geometry import kappa_tilde, make_params
+import vizsample
+from vizsample import geometry, spatial
+from vizsample.errors import DomainRejectionError, EmptySampleError, NonFiniteInputError
+from vizsample.geometry import kappa_tilde, kernel_blocks, make_params
 from vizsample.quality import (
     QualityReport,
+    _median,
     bound_check,
     draw_domain_points,
     evaluate,
@@ -18,6 +24,7 @@ from vizsample.quality import (
     marginal_gain,
     mc_loss,
     point_loss,
+    point_losses,
     submodular_f,
     surrogate_objective,
 )
@@ -59,6 +66,103 @@ def test_point_loss_closed_forms_and_inf():
     assert point_loss((1e4, 0), s, UNIT) == math.inf
     with pytest.raises(EmptySampleError):
         point_loss((0, 0), np.empty((0, 2)), UNIT)
+
+
+def dense_point_losses(xs, pts, params):
+    """The losses from every pair's weight: kernel_blocks row sums over all points."""
+    out = np.empty(len(xs))
+    with np.errstate(over="ignore", divide="ignore"):
+        for s, w in kernel_blocks(xs, pts, params.inv_eps2):
+            out[s] = 1.0 / w.sum(axis=1)
+    return out
+
+
+@st.composite
+def loss_cases(draw):
+    """Kernel width 1e-150..1e150; coordinates within 60 eps of 0, where the
+    first window (about 6.7 eps) settles only rows with a point within about
+    2.2 eps and nothing is within the e**-700 reach (26.5 eps) of some rows,
+    or at +-1e300.  The sample draws from a few distinct points: duplicates."""
+    eps = 10.0 ** draw(st.floats(-150, 150))
+    coord = st.one_of(st.floats(-60, 60).map(lambda u: u * eps), st.sampled_from([-1e300, 1e300]))
+    point = st.tuples(coord, coord)
+    distinct = draw(st.lists(point, min_size=1, max_size=8))
+    pts = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    xs = draw(st.lists(point, min_size=1, max_size=30))
+    return make_params(eps), np.array(pts), np.array(xs)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(loss_cases())
+@example((make_params(1.0), np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [5.0, 0.0], [30.0, 0.0]])))
+# weights e**-34 and e**-64: a floor of e**-30 or less drops the second
+@example((make_params(1.0), np.array([[3.0, -8.0], [6.0, 5.0]]), np.array([[3.0, 0.0]])))
+@example((make_params(1e-150), np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 0.0]]), np.array([[1e-150, 1e300]])))
+def test_point_losses_match_the_dense_sums_within_the_floor(case):
+    params, pts, xs = case
+    want = dense_point_losses(xs, pts, params)
+    # each sum drops less than e**-40 of itself per point, plus summation order
+    np.testing.assert_allclose(point_losses(xs, pts, params), want, rtol=len(pts) * (math.exp(-40) + 2**-52))
+
+
+def test_point_losses_rewindow_rows_whose_first_window_fails(monkeypatch):
+    radii = []
+    windows = spatial.GridIndex.windows
+
+    def spy(self, qs, r):
+        radii.append(r)
+        return windows(self, qs, r)
+
+    monkeypatch.setattr(spatial.GridIndex, "windows", spy)
+    pts = np.array([[0.0, 0.0], [20.0, 0.0]])
+    # 4 eps from its nearest point: e**-16 needs points outside beyond sqrt(56) eps
+    got = point_losses(np.array([[4.0, 0.0]]), pts, UNIT)
+    assert len(radii) == 2 and radii[1] == 2 * radii[0] and radii[0] < math.sqrt(56)
+    assert got[0] == pytest.approx(1.0 / (math.exp(-16.0) + math.exp(-256.0)), rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rows_raise_a_named_error(bad):
+    good = np.array([[0.0, 0.0], [1.0, 1.0]])
+    worse = np.array([[0.0, 0.0], [bad, 1.0]])
+    with pytest.raises(NonFiniteInputError, match="plot locations"):
+        point_losses(worse, good, UNIT)
+    with pytest.raises(NonFiniteInputError, match="sample"):
+        point_losses(good, worse, UNIT)
+    with pytest.raises(NonFiniteInputError, match="sample"):
+        surrogate_objective(worse, UNIT)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # -inf + inf, in both medians
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=12))
+@example([1e308, 1.5e308])
+@example([-1.7e308, -1.7e308, 5.0])
+@example([math.inf, -math.inf])
+@example([math.inf, 1.0, -math.inf])
+def test_median_is_bitwise_numpy_median(values):
+    a = np.array(values)
+    assert _bits(_median(a)) == _bits(np.median(a))
+    assert a.tolist() == values  # the input is left as it was
+
+
+def test_evaluate_process_leaves_numpy_ma_unimported(tmp_path):
+    data, sample = tmp_path / "data.csv", tmp_path / "sample.csv"
+    pts = np.random.default_rng(7).uniform(0, 5, size=(200, 2))
+    np.savetxt(data, pts, delimiter=",", header="x,y", comments="")
+    np.savetxt(sample, pts[:20], delimiter=",", header="x,y", comments="")
+    src = str(Path(vizsample.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["-X", "importtime", "-m", "vizsample.cli", "evaluate", "--data", str(data), "--sample", str(sample)]
+    run = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+    assert "vizsample.quality" in imported and "numpy" in imported
+    assert "numpy.ma" not in imported
 
 
 def test_point_loss_two_member_sample():
