@@ -30,18 +30,20 @@ class StratifiedConfig:
 
 
 def reservoir_sample(data: np.ndarray, k: int, seed: int = 0) -> Sample:
-    """Uniform K-subset by single-pass reservoir; returns everything if n <= k."""
+    """Uniform K-subset by single-pass reservoir; K > N is a ``KTooLargeError``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     data = np.asarray(data, dtype=float).reshape(-1, 2)
     n = len(data)
     if n == 0:
         raise EmptyDatasetError("cannot sample an empty dataset")
+    if k > n:
+        raise KTooLargeError(f"k={k} exceeds dataset size {n}")
     rng = np.random.default_rng(seed)
     # row i >= k draws its slot from [0, i]: one draw per row, in row order
-    slots = np.concatenate([np.arange(min(k, n)), rng.integers(0, np.arange(k + 1, n + 1))])
-    idx = _last_writes(slots, min(k, n))
-    return Sample(points=data[idx], source_indices=idx, method="uniform")
+    slots = np.concatenate([np.arange(k), rng.integers(0, np.arange(k + 1, n + 1))])
+    idx = _last_writes(slots, k)
+    return Sample(data[idx], idx)
 
 
 def _last_writes(keys: np.ndarray, size: int) -> np.ndarray:
@@ -122,4 +124,4 @@ def stratified_sample(data: np.ndarray, cfg: StratifiedConfig) -> Sample:
     slot[full] = np.random.default_rng(cfg.seed).integers(0, rank[full] + 1)
     keys = np.where(slot < q, np.cumsum(quota)[c] - q + slot, cfg.k)
     idx = rows[_last_writes(keys, cfg.k)]
-    return Sample(points=data[idx], source_indices=idx, method="stratified")
+    return Sample(data[idx], idx)

@@ -19,7 +19,7 @@ from .density import attach_counts
 from .errors import VizSampleError
 from .exact import brute_force_vas, check_budget, export_mip_lp, weights_from_points
 from .geometry import DEFAULT_CUTOFF_FACTOR, default_epsilon, make_params
-from .interchange import InterchangeConfig, run_interchange
+from .interchange import PASS_CAP, InterchangeConfig, run_interchange
 from .quality import evaluate
 
 
@@ -63,11 +63,10 @@ def _cmd_sample(args) -> int:
     if args.method == "vas":
         cfg = InterchangeConfig(
             k=args.k,
-            passes=args.passes,
+            passes=PASS_CAP if args.converge else args.passes,
             seed=args.seed,
             shuffle=args.shuffle == "on",
             mode=args.mode,
-            until_converged=args.until_converged,
             time_budget_secs=args.time_budget_secs,
         )
         sample, _ = run_interchange(data, cfg, params)
@@ -134,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=_COUNT, required=True)
     sp.add_argument("--epsilon", type=_LENGTH, default=None, help="kernel bandwidth (default: bbox diagonal / 100)")
     sp.add_argument("--passes", type=_COUNT, default=1)
-    sp.add_argument("--until-converged", action="store_true")
+    sp.add_argument("--until-converged", dest="converge", action="store_true", help=f"--passes {PASS_CAP}")
     sp.add_argument("--time-budget-secs", type=_LENGTH, default=None)
     sp.add_argument("--mode", choices=["noes", "es", "esloc"], default="esloc")
     sp.add_argument("--cutoff", type=_LENGTH, default=None,

@@ -21,7 +21,6 @@ class Sample:
 
     points: np.ndarray
     source_indices: np.ndarray
-    method: str
     counts: np.ndarray | None = None
 
     def __post_init__(self):
@@ -130,7 +129,7 @@ def read_points_csv(path) -> np.ndarray:
 def read_sample_csv(path) -> Sample:
     """Read a sample CSV (``x,y`` or ``x,y,count``) back into a ``Sample``."""
     pts, counts = _read_csv(path, ("x,y", "x,y,count"))
-    return Sample(points=pts, source_indices=np.arange(len(pts)), method="file", counts=counts)
+    return Sample(pts, np.arange(len(pts)), counts)
 
 
 def _write_rows(path, header: str, row: str, rows: np.ndarray) -> None:

@@ -79,25 +79,23 @@ def weights_from_points(points: np.ndarray, params: KernelParams) -> WeightMatri
     return WeightMatrix(w)
 
 
-def check_budget(n: int, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> None:
-    """Raise unless 0 <= k <= n and C(n, k) is within ``budget`` subsets."""
+def check_budget(n: int, k: int) -> None:
+    """Raise unless 0 <= k <= n and C(n, k) is within ``DEFAULT_SUBSET_BUDGET`` subsets."""
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if k > n:
         raise KTooLargeError(f"k={k} exceeds dataset size {n}")
-    if math.comb(n, k) > budget:
-        raise BudgetExceededError(f"C({n},{k}) exceeds the budget of {budget} subsets")
+    if math.comb(n, k) > DEFAULT_SUBSET_BUDGET:
+        raise BudgetExceededError(f"C({n},{k}) exceeds the budget of {DEFAULT_SUBSET_BUDGET} subsets")
 
 
-def brute_force_vas(
-    wm: WeightMatrix, k: int, budget: int = DEFAULT_SUBSET_BUDGET
-) -> tuple[tuple[int, ...], float]:
+def brute_force_vas(wm: WeightMatrix, k: int) -> tuple[tuple[int, ...], float]:
     """Exhaustive K-subset minimizer of the induced pair-weight sum.
 
     Ties keep the lexicographically smallest index tuple (the enumeration
     order of ``itertools.combinations``).
     """
-    check_budget(wm.n, k, budget)
+    check_budget(wm.n, k)
     w = wm.w
     best: tuple[int, ...] | None = None
     best_obj = math.inf
@@ -131,13 +129,11 @@ def reduce_mes_to_vas(g: WeightedGraph, k: int) -> WeightMatrix:
     return WeightMatrix(m)
 
 
-def solve_mes_brute(
-    g: WeightedGraph, k: int, budget: int = DEFAULT_SUBSET_BUDGET
-) -> tuple[tuple[int, ...], float]:
+def solve_mes_brute(g: WeightedGraph, k: int) -> tuple[tuple[int, ...], float]:
     """Exhaustive K-vertex subset maximizing induced edge weight."""
     if not g.edges:
         raise NoEdgesError("graph has no edges")
-    check_budget(g.vertex_count, k, budget)
+    check_budget(g.vertex_count, k)
     adj = {}
     for u, v, w in g.edges:
         adj[(min(u, v), max(u, v))] = w

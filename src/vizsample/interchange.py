@@ -49,9 +49,12 @@ from .spatial import GridIndex
 
 MODES = ("noes", "es", "esloc")
 
-# Most passes of an ``until_converged`` run.  Exact ties between points can
-# keep a run swapping members on rounding noise forever.
+# Most passes of ``sample --until-converged``.  Exact ties between points
+# can keep a run swapping members on rounding noise forever.
 PASS_CAP = 100
+
+# Streamed candidates between two ``recompute`` calls, which reset the drift.
+RECOMPUTE_INTERVAL = 100_000
 
 # Most pair cells in one ``reject_run`` block; batching needs room for at
 # least 8 candidate rows, so it runs only for K <= 1024.
@@ -65,8 +68,6 @@ class InterchangeConfig:
     seed: int = 0
     shuffle: bool = True
     mode: str = "esloc"
-    recompute_interval: int = 100_000
-    until_converged: bool = False
     time_budget_secs: float | None = None  # counts the seed load; read after each step or block
     record_trace: bool = False
 
@@ -75,8 +76,6 @@ class InterchangeConfig:
             raise ValueError("k must be >= 1")
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
-        if self.recompute_interval < 1:
-            raise ValueError("recompute_interval must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -92,7 +91,7 @@ class RunStats:
     replacements: int = 0
     wall_time: float = 0.0
     passes_run: int = 0
-    stop_reason: str = ""  # "converged", "passes", "pass_cap" or "time_budget"
+    stop_reason: str = ""  # "converged", "passes" or "time_budget"
     batch_rejects: int = 0  # candidates settled by ``reject_run``, not ``step``
     objective_trace: list[float] = field(default_factory=list)
     drift: float = 0.0  # largest drift of the recomputes during the stream
@@ -330,10 +329,11 @@ def run_interchange(
     ``reject_run`` block whose first unsettled row goes through ``step``.  A
     block has one row per candidate dropped so far, halved at each
     replacement, at most ``REJECT_BLOCK_CELLS // K`` and none past the next
-    recompute.  Passes stop early when a full pass makes no replacement (so
-    K = N stops after one), ``until_converged`` after at most ``PASS_CAP``
-    passes; the time budget is checked after every step or block.  A traced
-    run appends the exact objective once per streamed candidate.
+    recompute (every ``RECOMPUTE_INTERVAL`` candidates).  The run stops as
+    ``converged`` after a pass without a replacement (K = N after one), as
+    ``passes`` after ``cfg.passes``, or as ``time_budget``, checked after
+    every step or block.  A traced run appends the exact objective once per
+    streamed candidate.
     """
     data = np.asarray(data, dtype=float).reshape(-1, 2)
     n = len(data)
@@ -352,7 +352,6 @@ def run_interchange(
     state.load(data[order[: cfg.k]], order[: cfg.k])
 
     stats = RunStats(points_seen=cfg.k, state=state)
-    max_passes = PASS_CAP if cfg.until_converged else cfg.passes
     # rows of one reject_run block; 0 keeps every candidate on ``step``
     rows = REJECT_BLOCK_CELLS // cfg.k
     if cfg.mode == "noes" or rows < 8:
@@ -361,10 +360,10 @@ def run_interchange(
     # replacements on ``step``, where a block would be scored in vain
     run = 0
     since_recompute = 0
-    out_of_time = False
     member = np.zeros(n, dtype=bool)
     member[order[: cfg.k]] = True
-    for _ in range(max_passes):
+    stats.stop_reason = "passes"
+    for _ in range(cfg.passes):
         pass_repl = 0
         pos = 0
         while pos < n:
@@ -374,7 +373,7 @@ def run_interchange(
                 # also avoids fp-noise evictions between exact duplicates
                 pos += 1
                 continue
-            b = min(run, rows, n - pos, cfg.recompute_interval - since_recompute)
+            b = min(run, rows, n - pos, RECOMPUTE_INTERVAL - since_recompute)
             settled_all = False
             if b >= 2:
                 window = order[pos : pos + b + cfg.k]
@@ -405,25 +404,18 @@ def run_interchange(
                     stats.objective_trace.append(state.exact_objective())
                 since_recompute += 1
                 pos += 1
-            if since_recompute >= cfg.recompute_interval:
+            if since_recompute >= RECOMPUTE_INTERVAL:
                 stats.drift = max(stats.drift, state.recompute())
                 since_recompute = 0
             if cfg.time_budget_secs is not None and time.perf_counter() - t0 > cfg.time_budget_secs:
-                out_of_time = True
+                stats.stop_reason = "time_budget"
                 break
         stats.replacements += pass_repl
         stats.passes_run += 1
-        if out_of_time:
-            stats.stop_reason = "time_budget"
+        if stats.stop_reason == "time_budget":
             break
         if pass_repl == 0:
             stats.stop_reason = "converged"
             break
-    else:
-        stats.stop_reason = "pass_cap" if cfg.until_converged else "passes"
     stats.wall_time = time.perf_counter() - t0
-    return _to_sample(state), stats
-
-
-def _to_sample(state: ResponsibilitySet) -> Sample:
-    return Sample(points=state.points.copy(), source_indices=state.source_indices.copy(), method="vas")
+    return Sample(state.points.copy(), state.source_indices.copy()), stats

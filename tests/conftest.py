@@ -5,7 +5,7 @@ _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one verdict line per acceptance criterion at the end of the run,
-    with the properties its test recorded (``record_property``)."""
+    with the properties its test recorded (``user_properties``)."""
     verdicts = {}
     for status, label in (("passed", "PASS"), ("failed", "FAIL"), ("error", "FAIL"), ("skipped", "SKIP")):
         for rep in terminalreporter.stats.get(status, []):

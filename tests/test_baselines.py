@@ -24,7 +24,8 @@ def waterfill_oracle(counts, k):
 def test_reservoir_returns_all_when_k_covers_n():
     data = np.arange(10, dtype=float).reshape(5, 2)
     assert sorted(reservoir_sample(data, 5, seed=1).source_indices) == list(range(5))
-    assert sorted(reservoir_sample(data, 9, seed=1).source_indices) == list(range(5))
+    with pytest.raises(KTooLargeError, match="k=9 exceeds dataset size 5"):
+        reservoir_sample(data, 9, seed=1)
 
 
 def test_reservoir_empty_dataset():

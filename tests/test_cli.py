@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vizsample import cli, interchange
 from vizsample.cli import main
 from vizsample.dataio import read_points_csv, read_sample_csv, write_points_csv
 from vizsample.geometry import make_params
@@ -206,14 +207,33 @@ def test_out_of_range_flag_exits_2_without_traceback(argv, dataset, tmp_path, ca
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("command", [["exact"], ["export-mip", "--output", "model.lp"]])
+@pytest.mark.parametrize("command", [
+    ["exact"],
+    ["export-mip", "--output", "model.lp"],
+    *(["sample", "--output", "o.csv", "--method", method] for method in ("vas", "uniform", "stratified")),
+])
 def test_k_above_row_count_exits_1(command, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["gen", "--n", "5", "--seed", "3", "--output", "tiny.csv"]) == 0
     assert main([*command, "--input", "tiny.csv", "--k", "9"]) == 1
     err = capsys.readouterr().err
-    assert "error: k=9 exceeds dataset size 5" in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: k=9 exceeds dataset size 5"]
     assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["tiny.csv"]
+
+
+def test_until_converged_runs_up_to_the_pass_cap(dataset, tmp_path, monkeypatch):
+    seen = []
+    real = cli.run_interchange
+
+    def spy(data, cfg, params):
+        seen.append(cfg)
+        return real(data, cfg, params)
+
+    monkeypatch.setattr(cli, "run_interchange", spy)
+    out = str(tmp_path / "s.csv")
+    assert main(["sample", "--input", str(dataset), "--output", out, "--k", "5", "--passes", "2", "--until-converged"]) == 0
+    assert [cfg.passes for cfg in seen] == [interchange.PASS_CAP]
 
 
 @pytest.mark.parametrize("command", [["exact"], ["export-mip", "--output", "model.lp"]])

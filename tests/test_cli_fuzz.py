@@ -1,5 +1,6 @@
 """Hypothesis over the CLI's flags and inputs: every run keeps the exit-code
-contract (0, 1 or 2), prints no traceback, and ``evaluate`` prints strict JSON."""
+contract (0, 1 or 2), prints no traceback, ``evaluate`` prints strict JSON,
+and a ``sample`` that succeeds writes exactly ``--k`` rows."""
 
 import contextlib
 import io
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from vizsample.cli import main
-from vizsample.dataio import gen_blobs, write_points_csv
+from vizsample.dataio import gen_blobs, read_sample_csv, write_points_csv
 
 coord = st.one_of(
     st.floats(-1e3, 1e3, allow_nan=False),
@@ -125,6 +126,8 @@ def test_cli_keeps_its_exit_code_contract(cmd, subset):
                 code = main([name, *flags, *files[name]])
             except SystemExit as exc:
                 code = exc.code
+        if name == "sample" and code == 0:
+            assert len(read_sample_csv(tmp / "out.csv")) == int(flags[flags.index("--k") + 1])
     event(f"{name} exit {code}")
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()

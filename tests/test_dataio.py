@@ -29,7 +29,6 @@ def test_sample_roundtrip_with_counts(tmp_path):
     s = Sample(
         points=np.array([[0.25, 0.5], [1.0, 2.0]]),
         source_indices=np.array([3, 8]),
-        method="test",
         counts=np.array([7, 2]),
     )
     path = tmp_path / "s.csv"
@@ -41,7 +40,7 @@ def test_sample_roundtrip_with_counts(tmp_path):
 
 
 def test_sample_roundtrip_without_counts(tmp_path):
-    s = Sample(points=np.array([[0.0, 1.0]]), source_indices=np.array([0]), method="test")
+    s = Sample(points=np.array([[0.0, 1.0]]), source_indices=np.array([0]))
     path = tmp_path / "s.csv"
     write_sample_csv(s, path)
     back = read_sample_csv(path)
@@ -172,7 +171,7 @@ def test_numpy_fast_path_parses_written_files(tmp_path, with_counts):
     pts = gen_blobs(500, 3, seed=4)
     counts = np.arange(500) * 7 - 3
     path = tmp_path / "s.csv"
-    write_sample_csv(Sample(pts, np.arange(500), "t", counts if with_counts else None), path)
+    write_sample_csv(Sample(pts, np.arange(500), counts if with_counts else None), path)
     body = path.read_text().splitlines()[1:]
     fast_pts, fast_counts = dataio._fast_rows(body, with_counts)
     assert fast_pts.tobytes() == pts.tobytes()
@@ -194,7 +193,7 @@ def test_written_bytes_match_the_per_value_format(tmp_path_factory, rows, with_c
     pts = np.array([r[:2] for r in rows], dtype=float).reshape(-1, 2)
     counts = np.array([r[2] for r in rows], dtype=np.int64)
     path = tmp_path_factory.mktemp("csv") / "s.csv"
-    write_sample_csv(Sample(pts, np.arange(len(pts)), "t", counts if with_counts else None), path)
+    write_sample_csv(Sample(pts, np.arange(len(pts)), counts if with_counts else None), path)
     lines = ["x,y,count" if with_counts else "x,y"]
     for x, y, c in rows:
         lines.append(",".join([format(x, ".17g"), format(y, ".17g")] + [str(c)] * with_counts))
@@ -203,7 +202,7 @@ def test_written_bytes_match_the_per_value_format(tmp_path_factory, rows, with_c
 
 def test_sample_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        Sample(points=np.zeros((2, 2)), source_indices=np.array([0]), method="x")
+        Sample(points=np.zeros((2, 2)), source_indices=np.array([0]))
 
 
 def test_gen_blobs_shape_and_determinism():

@@ -85,7 +85,7 @@ def test_brute_force_beats_random_subsets():
 def test_brute_force_budget_guard():
     wm = WeightMatrix(np.zeros((30, 30)))
     with pytest.raises(BudgetExceededError):
-        brute_force_vas(wm, 15, budget=1000)
+        brute_force_vas(wm, 15)
 
 
 def test_reduction_triangle():

@@ -34,7 +34,6 @@ def _state(k, expands):
 GUARDS = {
     "config-k": (lambda: InterchangeConfig(k=0), ValueError, "k must be >= 1"),
     "config-passes": (lambda: InterchangeConfig(k=1, passes=0), ValueError, "passes must be"),
-    "config-interval": (lambda: InterchangeConfig(k=1, recompute_interval=0), ValueError, "recompute_interval"),
     "config-mode": (lambda: InterchangeConfig(k=1, mode="fast"), ValueError, "mode must be one of"),
     "state-mode": (lambda: ResponsibilitySet(1, UNIT, mode="fast"), ValueError, "mode must be one of"),
     "expand-expanded": (lambda: _state(1, 2).expand((5.0, 0.0)), ValueError, "already-expanded"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vizsample import interchange
 from vizsample.errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
 from vizsample.geometry import bounding_box, kernel_blocks, make_params
-from vizsample.interchange import MODES, InterchangeConfig, ResponsibilitySet, run_interchange
+from vizsample.interchange import MODES, PASS_CAP, InterchangeConfig, ResponsibilitySet, run_interchange
 from vizsample.quality import surrogate_objective
 
 UNIT = make_params(1.0)
@@ -146,8 +146,8 @@ def test_noes_and_es_modes_agree():
     params = make_params(0.3)
     for seed in range(5):
         data = rng.uniform(0, 1, size=(40, 2))
-        cfg_es = InterchangeConfig(k=6, seed=seed, mode="es", until_converged=True)
-        cfg_no = InterchangeConfig(k=6, seed=seed, mode="noes", until_converged=True)
+        cfg_es = InterchangeConfig(k=6, seed=seed, mode="es", passes=PASS_CAP)
+        cfg_no = InterchangeConfig(k=6, seed=seed, mode="noes", passes=PASS_CAP)
         s_es, _ = run_interchange(data, cfg_es, params)
         s_no, _ = run_interchange(data, cfg_no, params)
         assert sorted(s_es.source_indices) == sorted(s_no.source_indices)
@@ -165,7 +165,7 @@ def test_run_k_equals_n_returns_dataset():
 
 def test_run_collinear_converges_to_endpoints():
     data = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    cfg = InterchangeConfig(k=2, seed=3, until_converged=True, mode="es")
+    cfg = InterchangeConfig(k=2, seed=3, passes=PASS_CAP, mode="es")
     sample, stats = run_interchange(data, cfg, UNIT)
     assert sorted(sample.source_indices) == [0, 2]
     assert stats.final_objective == pytest.approx(math.exp(-2.0), rel=1e-12)
@@ -198,11 +198,12 @@ def test_objective_monotone_along_trace():
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
-def test_responsibility_recompute_drift_small():
+def test_responsibility_recompute_drift_small(monkeypatch):
+    monkeypatch.setattr(interchange, "RECOMPUTE_INTERVAL", 13)
     rng = np.random.default_rng(23)
     params = make_params(0.3)
     data = rng.uniform(0, 1, size=(300, 2))
-    cfg = InterchangeConfig(k=12, seed=2, mode="es", passes=4, recompute_interval=13)
+    cfg = InterchangeConfig(k=12, seed=2, mode="es", passes=4)
     _, stats = run_interchange(data, cfg, params)
     assert stats.max_drift < 1e-9 * cfg.k
 
@@ -242,11 +243,35 @@ def test_esloc_close_to_es_within_truncation_bound():
     assert abs(obj["es"] - obj["esloc"]) <= bound
 
 
+_HALF_LATTICE = st.integers(0, 8).map(lambda i: i / 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(0, 10), st.floats(0, 10)) | st.tuples(_HALF_LATTICE, _HALF_LATTICE), min_size=2, max_size=60
+    ),
+    eps=st.floats(0.05, 3) | st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+    factor=st.floats(1, 6) | st.sampled_from([1.0, 2.0, 4.0]),
+)
+def test_esloc_responsibilities_within_the_truncation_bound_of_es(rows, eps, factor):
+    # half-lattice ties put pairs exactly at the cutoff for the sampled eps
+    data = np.array(rows)
+    n = len(data)
+    params = make_params(eps, factor * eps)
+    rsp = {mode: _loaded(data, n, params, mode).rsp[:n] for mode in ("es", "esloc")}
+    r = params.cutoff_radius
+    dropped = (n - 1) * math.exp(-r * r * params.inv_2eps2)  # most weight one member loses
+    rounding = n * 2.0**-52 * np.abs(rsp["es"])
+    assert np.all(np.abs(rsp["esloc"] - rsp["es"]) <= dropped + rounding)
+    assert np.all(rsp["esloc"] <= rsp["es"] + rounding)
+
+
 def test_local_optimality_at_convergence():
     rng = np.random.default_rng(41)
     params = make_params(0.3)
     data = rng.uniform(0, 1, size=(25, 2))
-    cfg = InterchangeConfig(k=5, seed=6, mode="es", until_converged=True)
+    cfg = InterchangeConfig(k=5, seed=6, mode="es", passes=PASS_CAP)
     sample, stats = run_interchange(data, cfg, params)
     members = list(sample.source_indices)
     base = pair_objective(data[members], params)
@@ -308,8 +333,9 @@ def _run_record(data, cfg, params):
 )
 def test_batched_rejection_matches_per_step_run(mode, kind, interval, trace, monkeypatch):
     # a traced run batches too: a settled row repeats the objective
+    monkeypatch.setattr(interchange, "RECOMPUTE_INTERVAL", interval)
     params = make_params(0.4)
-    cfg = InterchangeConfig(k=20, seed=5, mode=mode, passes=3, recompute_interval=interval, record_trace=trace)
+    cfg = InterchangeConfig(k=20, seed=5, mode=mode, passes=3, record_trace=trace)
     batched, batch_rejects = _run_record(DATASETS[kind], cfg, params)
     monkeypatch.setattr(interchange, "REJECT_BLOCK_CELLS", 0)
     per_step, no_batch_rejects = _run_record(DATASETS[kind], cfg, params)
@@ -574,7 +600,7 @@ def test_reject_run_needs_a_replayable_mode_at_rest():
 def test_stop_reasons():
     data = DATASETS["uniform"][:80]
     params = make_params(0.3)
-    _, stats = run_interchange(data, InterchangeConfig(k=6, seed=1, until_converged=True), params)
+    _, stats = run_interchange(data, InterchangeConfig(k=6, seed=1, passes=PASS_CAP), params)
     assert stats.stop_reason == "converged" and stats.passes_run > 1
     _, stats = run_interchange(data, InterchangeConfig(k=6, seed=1, passes=1), params)
     assert stats.stop_reason == "passes" and stats.replacements > 0
@@ -596,13 +622,12 @@ def test_time_budget_counts_the_seed_and_stops_after_one_step(k):
     assert stats.points_seen == k + 1 and stats.passes_run == 1
 
 
-def test_until_converged_stops_at_the_pass_cap(monkeypatch):
+def test_run_stops_after_its_passes_or_converges():
     # this run needs 4 passes to converge
-    cfg = InterchangeConfig(k=20, seed=0, mode="esloc", until_converged=True)
-    monkeypatch.setattr(interchange, "PASS_CAP", 3)
+    cfg = InterchangeConfig(k=20, seed=0, mode="esloc", passes=3)
     _, stats = run_interchange(DATASETS["uniform"], cfg, make_params(0.4))
-    assert stats.stop_reason == "pass_cap" and stats.passes_run == 3
-    monkeypatch.setattr(interchange, "PASS_CAP", 4)
+    assert stats.stop_reason == "passes" and stats.passes_run == 3
+    cfg = InterchangeConfig(k=20, seed=0, mode="esloc", passes=4)
     _, stats = run_interchange(DATASETS["uniform"], cfg, make_params(0.4))
     assert stats.stop_reason == "converged" and stats.passes_run == 4
 
@@ -612,7 +637,7 @@ def test_until_converged_stops_at_the_pass_cap(monkeypatch):
 def test_lattice_ties_converge(mode, seed):
     # symmetric lattice members tie exactly; in esloc, rounding left behind
     # by dropped points once made them swap until the pass cap
-    cfg = InterchangeConfig(k=20, seed=seed, mode=mode, until_converged=True)
+    cfg = InterchangeConfig(k=20, seed=seed, mode=mode, passes=PASS_CAP)
     _, stats = run_interchange(DATASETS["lattice"], cfg, make_params(0.4))
     assert stats.stop_reason == "converged"
 
