@@ -1,13 +1,24 @@
 """Command-line interface.
 
 Subcommands: ``sample``, ``evaluate``, ``exact``, ``export-mip``, ``gen``.
-Exit codes: 0 success, 1 data errors, 2 usage errors.
+Exit codes: 0 success, 1 data errors (a closed output pipe among them), 2
+usage errors.
+
+Entry contract: ``main(argv)`` parses, runs one command and returns its exit
+code with no process-wide side effect, so tests and in-process harnesses may
+call it any number of times.  ``entry`` is the process entry of both
+``python -m vizsample.cli`` and the ``vizsample`` script.  It freezes the
+import-time heap (``gc.freeze``) before the command runs, so the collections
+at interpreter exit skip those objects, and it keeps a closed stdout pipe
+at exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 import numpy as np
@@ -183,7 +194,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except _UsageError as exc:
         parser.error(str(exc))
     except (VizSampleError, OSError, MemoryError) as exc:
@@ -191,5 +204,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """Run ``main`` as the whole process; returns its exit code."""
+    gc.freeze()
+    try:
+        try:
+            return main()
+        finally:
+            sys.stdout.flush()  # also after --version and --help
+    except BrokenPipeError:
+        # the unwritten output stays buffered: point stdout at devnull so
+        # the interpreter's last flush succeeds instead of exiting 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

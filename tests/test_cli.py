@@ -1,4 +1,9 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,8 @@ from vizsample.cli import main
 from vizsample.dataio import read_points_csv, read_sample_csv, write_points_csv
 from vizsample.geometry import make_params
 from vizsample.quality import surrogate_objective
+
+from test_geometry import package_calls
 
 
 @pytest.fixture()
@@ -428,3 +435,57 @@ def test_out_of_memory_exits_1(exc, line, dataset, capsys, monkeypatch):
     assert main(["evaluate", "--data", str(dataset), "--sample", str(dataset)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == [line]
+
+
+def _child(argv, tmp_path, env=os.environ, **kwargs):
+    """``python -m vizsample.cli argv`` in ``tmp_path``, with ``tmp_path`` and this package on the path."""
+    env = dict(env, PYTHONPATH=os.pathsep.join(map(str, (tmp_path, Path(cli.__file__).parents[1]))))
+    return subprocess.run([sys.executable, "-m", "vizsample.cli", *argv], cwd=tmp_path, env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [["exact", "--k", "2", "--epsilon", "1"], ["evaluate", "--sample", "data.csv", "--epsilon", "1"]])
+def test_closed_stdout_pipe_exits_1_with_one_error_line(argv, tmp_path):
+    # with a buffered stdout the write fails only at a flush; the reader's
+    # end is closed before the child starts, so that flush always fails
+    write_points_csv(np.random.default_rng(3).uniform(0, 4, size=(9, 2)), tmp_path / "data.csv")
+    argv = [*argv, "--input" if argv[0] == "exact" else "--data", "data.csv"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _child(argv, tmp_path, env, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
+
+
+def test_main_leaves_the_freeze_count_unchanged(dataset, tmp_path, capsys):
+    # tests and harnesses call main many times in one process; a freeze
+    # there would keep each call's garbage for the life of the process
+    before = gc.get_freeze_count()
+    assert main(["sample", "--input", str(dataset), "--output", str(tmp_path / "s.csv"), "--k", "5"]) == 0
+    assert main(["evaluate", "--data", str(dataset), "--sample", str(tmp_path / "s.csv"), "--epsilon", "1"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_python_m_freezes_the_heap_before_the_command_runs(tmp_path):
+    # an audit hook, installed by a sitecustomize in the child's directory,
+    # reads the freeze count when the command opens its output file
+    (tmp_path / "sitecustomize.py").write_text(
+        "import gc, sys\n"
+        "def hook(event, args):\n"
+        "    if event == 'open' and str(args[0]) == 'out.csv':\n"
+        "        print('frozen', gc.get_freeze_count(), file=sys.stderr)\n"
+        "sys.addaudithook(hook)\n"
+    )
+    proc = _child(["gen", "--n", "5", "--output", "out.csv"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("frozen ") and int(line.split()[1]) > 1000
+
+
+def test_gc_is_frozen_only_in_the_process_entry():
+    # everything but the process entry runs inside callers' processes
+    assert package_calls("freeze", "disable") in ([], [("cli.py", "entry")])

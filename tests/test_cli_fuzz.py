@@ -1,6 +1,7 @@
 """Hypothesis over the CLI's flags and inputs: every run keeps the exit-code
 contract (0, 1 or 2), prints no traceback, ``evaluate`` prints strict JSON,
-and a ``sample`` that succeeds writes exactly ``--k`` rows."""
+no command succeeds with a ``--k`` above the row count, and a ``sample`` that
+succeeds writes exactly ``--k`` rows."""
 
 import contextlib
 import io
@@ -99,15 +100,16 @@ def commands(side):
     )
 
 
+# each command with a --k, every sample method spelled out
+K_COMMANDS = [["sample", "--method", m] for m in ("vas", "uniform", "stratified")] + [["exact"], ["export-mip"]]
+
+
 def _strict(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cmd=st.one_of(commands(0), commands(1)), subset=st.integers(0, 60))
-def test_cli_keeps_its_exit_code_contract(cmd, subset):
-    name, flags, data = cmd
+def check_contract(name, flags, data, subset):
+    """Run one command on ``data`` (its first ``subset`` rows as the sample) and check the contract."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = {"gen": ["--output", str(tmp / "out.csv")]}
@@ -126,8 +128,11 @@ def test_cli_keeps_its_exit_code_contract(cmd, subset):
                 code = main([name, *flags, *files[name]])
             except SystemExit as exc:
                 code = exc.code
-        if name == "sample" and code == 0:
-            assert len(read_sample_csv(tmp / "out.csv")) == int(flags[flags.index("--k") + 1])
+        if code == 0 and "--k" in flags:
+            k = int(flags[flags.index("--k") + 1])
+            assert k <= len(data), "a K above the row count is a data error"
+            if name == "sample":
+                assert len(read_sample_csv(tmp / "out.csv")) == k
     event(f"{name} exit {code}")
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
@@ -135,3 +140,22 @@ def test_cli_keeps_its_exit_code_contract(cmd, subset):
         assert err.getvalue().strip(), "a failure names its cause"
     if name == "evaluate" and code == 0 and "text" not in flags:
         json.loads(out.getvalue(), parse_constant=_strict)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cmd=st.one_of(commands(0), commands(1)), subset=st.integers(0, 60))
+def test_cli_keeps_its_exit_code_contract(cmd, subset):
+    check_contract(*cmd, subset)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=rows(20), subset=st.integers(0, 20))
+def test_k_next_to_the_row_count_keeps_the_contract(data, subset):
+    # every such command at K = N - 1, N and N + 1 on each drawn dataset, so
+    # a K > N check that one of them lacks fails on every run; in the test
+    # above most of these draws would exit 2 on another flag first
+    for name, *flags in K_COMMANDS:
+        for k in (len(data) - 1, len(data), len(data) + 1):
+            check_contract(name, [*flags, "--k", str(k)], data, subset)

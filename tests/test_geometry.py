@@ -186,24 +186,30 @@ def test_gauss_without_exponent_scale_is_one_within_the_cutoff():
     assert gauss(d2[:, None] * 0.5, 0.0, 1.0).tolist() == [[1.0], [1.0], [0.0], [0.0]]
 
 
-def _exp_calls(node, where):
-    """``where`` (file, enclosing functions) of each exp-family call under ``node``."""
+def _calls(node, names, where):
+    """``where`` (file, enclosing functions) of each call of a function or
+    method named in ``names`` under ``node``."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         where = (*where, node.name)
     if isinstance(node, ast.Call):
         f = node.func
-        if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in ("exp", "expm1", "exp2"):
+        if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in names:
             yield where
     for child in ast.iter_child_nodes(node):
-        yield from _exp_calls(child, where)
+        yield from _calls(child, names, where)
+
+
+def package_calls(*names):
+    """(file, enclosing functions) of every call of ``names`` in the package's modules."""
+    calls = []
+    for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
+        calls += _calls(ast.parse(path.read_text()), names, (path.name,))
+    return calls
 
 
 def test_exp_is_called_only_in_gauss():
     # one kernel path: every kernel value in the package comes from gauss
-    calls = []
-    for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
-        calls += _exp_calls(ast.parse(path.read_text()), (path.name,))
-    assert calls == [("geometry.py", "gauss")]
+    assert package_calls("exp", "expm1", "exp2") == [("geometry.py", "gauss")]
 
 
 @pytest.mark.parametrize("cutoff", [None, 0.7, 40.0])
