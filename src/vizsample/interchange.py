@@ -82,9 +82,10 @@ class InterchangeConfig:
 
 @dataclass
 class RunStats:
-    """What a run did.  ``final_objective`` (untruncated) and ``max_drift``
-    (the largest relative drift a recompute saw, a final one included) are
-    O(K^2) passes over the finished ``state``, run on first read; so
+    """What a run did.  ``final_objective`` (``surrogate_objective``'s strip
+    walk, to within 2**-52 of the untruncated sum) and ``max_drift`` (the
+    largest relative drift a recompute saw, a final one included, an O(K^2)
+    pass) are computed from the finished ``state`` on first read; so
     ``wall_time`` leaves them out."""
 
     points_seen: int = 0

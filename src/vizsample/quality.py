@@ -11,8 +11,10 @@
 - ``bound_check``: the normalized 1/4 additive bound between an approximate
   objective and the optimum.
 
-The pair sums walk ``geometry.kernel_blocks``.  The point losses walk grid
-windows (``GridIndex.scan``) that skip only points below e**-40 times a row's
+The objective walks ``geometry.kernel_blocks`` over sorted strips one kernel
+reach wide, skipping pairs below e**-50 (``surrogate_objective``); the
+complement ``submodular_f`` walks every pair.  The point losses walk grid windows
+(``GridIndex.scan``) that skip only points below e**-40 times a row's
 largest weight, so a sum over n points loses at most n * e**-40 of itself.
 """
 
@@ -21,14 +23,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .errors import DomainRejectionError, EmptySampleError, ExtentRangeError, LossRangeError, NonFiniteInputError
-from .geometry import EXP_FLOOR, KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
+from .geometry import BLOCK_CELLS, EXP_FLOOR, KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
 from .spatial import GridIndex
 
 _ACCEPT_FLOOR = 1e-6
+
+# Rows per block of ``_strip_sum``: 64 beat 32, 128 and 256 at K = 5,000.
+STRIP_ROWS = 64
+# Most pairs ``surrogate_objective`` sums densely, a tile's worth (about 360
+# points): a strip walk paid off only from 256 to 400 points up.
+DENSE_PAIRS = BLOCK_CELLS
 
 
 @dataclass
@@ -48,13 +57,69 @@ class QualityReport:
 
 
 def surrogate_objective(points: np.ndarray, params: KernelParams) -> float:
-    """Sum of kappa_tilde over unordered pairs; 0 for a singleton.  Walks
-    ``kernel_blocks``, so large samples never materialize the pair matrix."""
+    """Sum of kappa_tilde over unordered pairs; 0 for a singleton.
+
+    Past ``DENSE_PAIRS`` pairs, ``_strip_sum`` skips pairs weighing below
+    e**-50: n points lose under n(n-1)/2 * e**-50.  Where that bound passes
+    2**-52 of the sum, a second walk reaches as far as the bound calls for
+    (at most past ``EXP_FLOOR``), so the result is the dense pair sum to
+    within 2**-52 of itself, besides summation order."""
     pts = _finite(points, "sample")
     if len(pts) < 1:
         raise EmptySampleError("objective of an empty sample")
-    blocks = kernel_blocks(pts, pts, params.inv_2eps2, upper=True)
-    return float(sum(w.sum() for _, w in blocks))
+    inv, pairs = params.inv_2eps2, len(pts) * (len(pts) - 1) / 2
+    if pairs <= DENSE_PAIRS:
+        return float(sum(w.sum() for _, w in kernel_blocks(pts, pts, inv, upper=True)))
+    total = _strip_sum(pts, inv, 50.0)
+    # the exponent a at which pairs * e**-a is 2**-52 of the first sum
+    need = math.log(pairs) + 52 * math.log(2) - math.log(total) if total else math.inf
+    if need > 50.0:
+        # one past the floor, so no rounding at a strip's edge drops a pair gauss keeps
+        total = _strip_sum(pts, inv, min(need, 1 - EXP_FLOOR))
+    return total
+
+
+def _strip_sum(pts: np.ndarray, inv: float, exponent: float) -> float:
+    """Sum of kappa_tilde over the pairs of ``pts`` within reach =
+    sqrt(exponent / inv) of each other, and some beyond it.  One sorted copy
+    holds strips of x at least one reach wide (one strip where an x
+    difference overflows), by y within each.  Blocks of ``STRIP_ROWS`` rows
+    meet two contiguous slices of it: the rest of their strip up to their
+    last y + reach, and the next strip's rows within reach in y."""
+    reach = math.sqrt(exponent / inv) if inv else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf difference: inf / inf is NaN, strip 0
+        x = pts[:, 0] - pts[:, 0].min()
+        # strips narrower than STRIP_ROWS points on average would cost more calls than they skip lanes
+        strip = np.nan_to_num(np.floor(x / max(reach, x.max() * STRIP_ROWS / len(x))), nan=0.0)
+    order = np.lexsort((pts[:, 1], strip))
+    p, strip = pts[order], strip[order]
+    y = p[:, 1]
+    cells = max(BLOCK_CELLS, len(p))
+    bufs = (np.empty(cells), np.empty(cells), np.empty(cells, bool))
+
+    def tiles(a, b, upper=False):
+        return sum(w.sum() for _, w in kernel_blocks(a, b, inv, upper=upper, bufs=bufs))
+
+    edges = [0, *(np.flatnonzero(np.diff(strip)) + 1).tolist(), len(p)]
+    total = 0.0
+    for i, (a0, a1) in enumerate(zip(edges, edges[1:])):
+        a2 = edges[i + 2] if a1 < len(p) and strip[a1] == strip[a0] + 1 else a1
+        r0 = np.arange(a0, a1, STRIP_ROWS)
+        r1 = np.minimum(r0 + STRIP_ROWS, a1)
+        top = y[r1 - 1] + reach
+        r0, r1, own, n0, n1 = (v.tolist() for v in (
+            r0, r1, a0 + np.searchsorted(y[a0:a1], top, "right"),
+            a1 + np.searchsorted(y[a1:a2], y[r0] - reach), a1 + np.searchsorted(y[a1:a2], top, "right"),
+        ))
+        k = own.index(a1)  # the blocks from the first that reaches its strip's end make one block
+        for lo, hi, c in zip(r0, [*r1[:k], a1], own):
+            total += tiles(p[lo:hi], p[lo:c], upper=True)
+        # consecutive blocks with one window into the next strip make one block
+        for (c0, c1), run in groupby(zip(r0, r1, n0, n1), key=lambda b: b[2:]):
+            if c0 < c1:
+                run = list(run)
+                total += tiles(p[run[0][0] : run[-1][1]], p[c0:c1])
+    return float(total)
 
 
 def point_loss(x, sample_points: np.ndarray, params: KernelParams) -> float:

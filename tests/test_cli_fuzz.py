@@ -24,11 +24,14 @@ coord = st.one_of(
 )
 
 
-def rows(max_size):
-    """Blobs as ``gen`` writes them, or any rows: none, duplicates, huge and tiny coordinates."""
-    blobs = st.tuples(st.integers(2, max_size), st.integers(1, 3), st.integers(0, 99)).map(lambda a: gen_blobs(*a))
+def rows(max_size, side):
+    """Blobs as ``gen`` writes them, on the typical side at least as many as
+    a typical ``--k``; on the odd side also any rows: none, duplicates, huge
+    and tiny coordinates."""
+    n = st.integers(2 if side else 6, max_size)
+    blobs = st.tuples(n, st.integers(1, 3), st.integers(0, 99)).map(lambda a: gen_blobs(*a))
     odd = st.lists(st.tuples(coord, coord), max_size=max_size).map(lambda r: np.array(r, dtype=float).reshape(-1, 2))
-    return st.one_of(blobs, odd)
+    return st.one_of(blobs, odd) if side else blobs
 
 
 def _values(typical, odd):
@@ -64,20 +67,31 @@ def argv(side, *spec):
     return st.tuples(*parts).map(lambda ps: [tok for p in ps for tok in p])
 
 
-def commands(side):
-    sample = argv(
-        side,
-        ("--method", ["vas", "uniform", "stratified"], False),
-        ("--k", "k", True),
-        ("--seed", "seed", False),
-        ("--epsilon", "length", False),
-        ("--cutoff", "length", False),
-        ("--grid", "grid", False),
-        ("--passes", "passes", False),
-        ("--mode", ["noes", "es", "esloc"], False),
-        ("--shuffle", ["on", "off"], False),
-        ("--time-budget-secs", "budget", False),
+def bandwidth(side):
+    """``--epsilon`` and ``--cutoff``; on the typical side a cutoff comes only
+    with an epsilon, at a factor >= 1 of it, so the two never clash."""
+    if side:
+        return argv(side, ("--epsilon", "length", False), ("--cutoff", "length", False))
+    eps = VALUES["length"][0]
+    both = st.tuples(eps, st.sampled_from([1, 2, 4, 10])).map(
+        lambda t: ["--epsilon", t[0], "--cutoff", repr(float(t[0]) * t[1])]
     )
+    return st.one_of(st.just([]), eps.map(lambda e: ["--epsilon", e]), both)
+
+
+def commands(side):
+    sample = st.tuples(
+        argv(side, ("--method", ["vas", "uniform", "stratified"], False), ("--k", "k", True), ("--seed", "seed", False)),
+        bandwidth(side),
+        argv(
+            side,
+            ("--grid", "grid", False),
+            ("--passes", "passes", False),
+            ("--mode", ["noes", "es", "esloc"], False),
+            ("--shuffle", ["on", "off"], False),
+            ("--time-budget-secs", "budget", False),
+        ),
+    ).map(lambda parts: [tok for p in parts for tok in p])
     switches = st.sampled_from([[], ["--until-converged"], ["--density"], ["--until-converged", "--density"]])
     evaluate = argv(
         side,
@@ -91,13 +105,16 @@ def commands(side):
     gen = argv(side, ("--n", "n", True), ("--blobs", "blobs", False), ("--seed", "seed", False), ("--cov", "cov", False))
     exact = argv(side, ("--k", "k", True), ("--epsilon", "length", False))
     # exact enumerates C(n, K) subsets in Python, so its inputs stay small
-    return st.one_of(
-        st.tuples(st.just("sample"), st.tuples(sample, switches).map(lambda t: t[0] + t[1]), rows(60)),
-        st.tuples(st.just("evaluate"), evaluate, rows(60)),
-        st.tuples(st.just("gen"), gen, st.just(None)),
-        st.tuples(st.just("exact"), exact, rows(10)),
-        st.tuples(st.just("export-mip"), exact, rows(20)),
-    )
+    branches = {
+        "sample": (st.tuples(sample, switches).map(lambda t: t[0] + t[1]), rows(60, side)),
+        "evaluate": (evaluate, rows(60, side)),
+        "gen": (gen, st.just(None)),
+        "exact": (exact, rows(10, side)),
+        "export-mip": (exact, rows(20, side)),
+    }
+    # sample, with the most flags and paths, draws as often as the other four together
+    names = st.sampled_from(["sample"] * 4 + ["evaluate", "gen", "exact", "export-mip"])
+    return names.flatmap(lambda name: st.tuples(st.just(name), *branches[name]))
 
 
 # each command with a --k, every sample method spelled out
@@ -151,7 +168,7 @@ def test_cli_keeps_its_exit_code_contract(cmd, subset):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=rows(20), subset=st.integers(0, 20))
+@given(data=rows(20, 1), subset=st.integers(0, 20))
 def test_k_next_to_the_row_count_keeps_the_contract(data, subset):
     # every such command at K = N - 1, N and N + 1 on each drawn dataset, so
     # a K > N check that one of them lacks fails on every run; in the test

@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vizsample
-from vizsample import geometry, spatial
+from vizsample import geometry, quality, spatial
+from vizsample.dataio import gen_blobs
 from vizsample.errors import DomainRejectionError, EmptySampleError, NonFiniteInputError
-from vizsample.geometry import kappa_tilde, kernel_blocks, make_params
+from vizsample.geometry import default_epsilon, kappa_tilde, kernel_blocks, make_params
+from vizsample.interchange import InterchangeConfig, run_interchange
 from vizsample.quality import (
     QualityReport,
     _median,
@@ -56,6 +58,101 @@ def test_surrogate_objective_matches_pair_oracle_across_chunkings(monkeypatch):
         # tiles of ``chunk`` rows of the 37 columns
         monkeypatch.setattr(geometry, "BLOCK_CELLS", chunk * 37)
         assert surrogate_objective(pts, UNIT) == pytest.approx(want, rel=1e-12)
+
+
+def dense_objective(pts, params):
+    """The oracle: ``kernel_blocks(upper=True)`` over every pair."""
+    return float(sum(w.sum() for _, w in kernel_blocks(pts, pts, params.inv_2eps2, upper=True)))
+
+
+def strip_objective(pts, params):
+    """``surrogate_objective`` through the strip walk at any size; (sum,
+    exponents of the walks, ``kernel_blocks`` calls as (rows, columns, upper))."""
+    exponents, calls = [], []
+    strip_sum, blocks = quality._strip_sum, quality.kernel_blocks
+
+    def walk(p, inv, exponent):
+        exponents.append(exponent)
+        return strip_sum(p, inv, exponent)
+
+    def spy(a, b, *args, upper=False, **kw):
+        calls.append((len(a), len(b), upper))
+        return blocks(a, b, *args, upper=upper, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quality, "DENSE_PAIRS", 0)
+        mp.setattr(quality, "_strip_sum", walk)
+        mp.setattr(quality, "kernel_blocks", spy)
+        return surrogate_objective(pts, params), exponents, calls
+
+
+@st.composite
+def strip_cases(draw):
+    """1 to 300 points: floats, half-lattice ties and duplicates; eps 1e-3..1e3."""
+    coord = st.one_of(st.floats(-1e3, 1e3), st.integers(-8, 8).map(lambda v: v / 2))
+    distinct = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=150))
+    copies = draw(st.lists(st.sampled_from(distinct), max_size=150))
+    return make_params(10.0 ** draw(st.floats(-3, 3))), np.array(distinct + copies)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strip_cases())
+def test_strip_walk_matches_the_dense_pair_sum(case):
+    params, pts = case
+    got, _, _ = strip_objective(pts, params)
+    want = dense_objective(pts, params)
+    assert abs(got - want) <= (len(pts) + 1) * 2**-52 * want
+
+
+def test_strip_walk_runs_again_where_the_skipped_bound_is_not_negligible():
+    # 3,000 points about 11 eps apart: every pair lies past the first reach
+    # (10 eps).  Beside a tight pair, the bound 4.5e6 * e**-50 passes 2**-52
+    # of its weight, so a second walk reaches further; without the pair the
+    # first walk finds nothing, and the second finds every weight.
+    rng = np.random.default_rng(4)
+    far = 11.0 * np.c_[np.arange(3000) % 60, np.arange(3000) // 60] + rng.uniform(-0.1, 0.1, (3000, 2))
+    for pts in (np.r_[far, [[-50.0, -50.0], [-50.0, -49.9]]], far):
+        got, exponents, _ = strip_objective(pts, UNIT)
+        want = dense_objective(pts, UNIT)
+        assert exponents[0] == 50.0 and len(exponents) == 2 and exponents[1] > 50.0
+        assert abs(got - want) <= (len(pts) + 1) * 2**-52 * want
+    assert want > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "pts, eps, want",
+    [
+        # 2 eps^2 overflows the reach to inf: every weight is 1
+        (np.random.default_rng(6).uniform(0, 10, (20, 2)), 1.2e154, 190.0),
+        # x - min(x) overflows: every squared distance is inf, and so weighs 0
+        (np.array([[-1.7e308, 0.0], [1.7e308, 1e200], [0.0, -1e200], [1e308, 5.0]]), 1.0, 0.0),
+    ],
+)
+def test_strip_walk_collapses_to_one_strip_without_a_warning(pts, eps, want):
+    got, _, calls = strip_objective(pts, make_params(eps))
+    assert got == want
+    assert calls and all(upper for *_, upper in calls)  # no call meets a next strip
+
+
+def test_strip_walk_visits_under_half_of_the_pairs_of_a_vas_sample(monkeypatch):
+    # a reach or strip fault that falls back to every pair fails here, not
+    # only as a slower benchmark
+    data = gen_blobs(3000, 3, 0)
+    params = default_epsilon(data)
+    sample, _ = run_interchange(data, InterchangeConfig(k=2000, seed=0), params)
+    lanes = []
+    kernel = geometry.gauss
+
+    def count(d2, *args):
+        lanes.append(d2.size)
+        return kernel(d2, *args)
+
+    monkeypatch.setattr(geometry, "gauss", count)
+    got = surrogate_objective(sample.points, params)
+    n = len(sample.points)
+    assert sum(lanes) < n * (n - 1) / 4
+    assert abs(got - dense_objective(sample.points, params)) <= (n + 1) * 2**-52 * got
 
 
 def test_point_loss_closed_forms_and_inf():
