@@ -54,38 +54,28 @@ def _last_writes(keys: np.ndarray, size: int) -> np.ndarray:
 
 
 def balanced_allocation(bin_counts, k: int) -> list[int]:
-    """Max-min fair quotas over bins with the given capacities.
+    """Max-min fair (water-filling) quotas over bins with the given capacities.
 
-    Water-filling: no unit could be moved from a larger-quota bin to a
-    smaller-quota bin that still has spare capacity.  Remainder units that
-    cannot be split evenly go to lower-indexed bins.
+    The level L is the largest integer with sum(min(c, L)) <= k; each bin
+    gets min(c, L), and the units left over go one each to the
+    lowest-indexed bins with capacity above L.
     """
     counts = [int(c) for c in bin_counts]
     if any(c < 0 for c in counts):
         raise ValueError("bin counts must be non-negative")
     if sum(counts) < k:
         raise InsufficientDataError(f"bins hold {sum(counts)} < k={k}")
-    nbins = len(counts)
-    quotas = [0] * nbins
-    by_cap = sorted(range(nbins), key=lambda i: counts[i])
-    rem = k
-    pos = 0
-    while pos < nbins and rem > 0:
-        m = nbins - pos
-        share = rem // m
-        i = by_cap[pos]
-        if counts[i] <= share:
-            quotas[i] = counts[i]
-            rem -= counts[i]
-            pos += 1
+    caps = np.array(counts, dtype=np.int64)
+    lo, hi = 0, max(counts, default=0)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if np.minimum(caps, mid).sum() <= k:
+            lo = mid
         else:
-            # every remaining bin can absorb the even share (+1 for remainders)
-            rest = sorted(by_cap[pos:])
-            extra = rem - share * m
-            for rank, b in enumerate(rest):
-                quotas[b] = share + (1 if rank < extra else 0)
-            rem = 0
-    return quotas
+            hi = mid - 1
+    quotas = np.minimum(caps, lo)
+    quotas[np.flatnonzero(caps > lo)[: max(k - quotas.sum(), 0)]] += 1  # k < 0 asks for none
+    return quotas.tolist()
 
 
 def stratified_sample(data: np.ndarray, cfg: StratifiedConfig) -> Sample:

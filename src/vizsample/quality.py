@@ -13,8 +13,8 @@
 
 The objective walks ``geometry.kernel_blocks`` over sorted strips one kernel
 reach wide, skipping pairs below e**-50 (``surrogate_objective``); the
-complement ``submodular_f`` walks every pair.  The point losses walk grid windows
-(``GridIndex.scan``) that skip only points below e**-40 times a row's
+complement ``submodular_f`` walks every pair.  The point losses walk grid
+windows (``GridIndex.scan``) that skip only points below e**-40 times a row's
 largest weight, so a sum over n points loses at most n * e**-40 of itself.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -35,9 +34,6 @@ _ACCEPT_FLOOR = 1e-6
 
 # Rows per block of ``_strip_sum``: 64 beat 32, 128 and 256 at K = 5,000.
 STRIP_ROWS = 64
-# Most pairs ``surrogate_objective`` sums densely, a tile's worth (about 360
-# points): a strip walk paid off only from 256 to 400 points up.
-DENSE_PAIRS = BLOCK_CELLS
 
 
 @dataclass
@@ -59,17 +55,15 @@ class QualityReport:
 def surrogate_objective(points: np.ndarray, params: KernelParams) -> float:
     """Sum of kappa_tilde over unordered pairs; 0 for a singleton.
 
-    Past ``DENSE_PAIRS`` pairs, ``_strip_sum`` skips pairs weighing below
-    e**-50: n points lose under n(n-1)/2 * e**-50.  Where that bound passes
-    2**-52 of the sum, a second walk reaches as far as the bound calls for
-    (at most past ``EXP_FLOOR``), so the result is the dense pair sum to
-    within 2**-52 of itself, besides summation order."""
+    ``_strip_sum`` skips pairs weighing below e**-50: n points lose under
+    n(n-1)/2 * e**-50.  Where that bound passes 2**-52 of the sum, a second
+    walk reaches as far as the bound calls for (at most past ``EXP_FLOOR``),
+    so the result is the dense pair sum to within 2**-52 of itself, besides
+    summation order."""
     pts = _finite(points, "sample")
     if len(pts) < 1:
         raise EmptySampleError("objective of an empty sample")
     inv, pairs = params.inv_2eps2, len(pts) * (len(pts) - 1) / 2
-    if pairs <= DENSE_PAIRS:
-        return float(sum(w.sum() for _, w in kernel_blocks(pts, pts, inv, upper=True)))
     total = _strip_sum(pts, inv, 50.0)
     # the exponent a at which pairs * e**-a is 2**-52 of the first sum
     need = math.log(pairs) + 52 * math.log(2) - math.log(total) if total else math.inf
@@ -107,18 +101,13 @@ def _strip_sum(pts: np.ndarray, inv: float, exponent: float) -> float:
         r0 = np.arange(a0, a1, STRIP_ROWS)
         r1 = np.minimum(r0 + STRIP_ROWS, a1)
         top = y[r1 - 1] + reach
-        r0, r1, own, n0, n1 = (v.tolist() for v in (
+        for lo, hi, own, n0, n1 in zip(*(v.tolist() for v in (
             r0, r1, a0 + np.searchsorted(y[a0:a1], top, "right"),
             a1 + np.searchsorted(y[a1:a2], y[r0] - reach), a1 + np.searchsorted(y[a1:a2], top, "right"),
-        ))
-        k = own.index(a1)  # the blocks from the first that reaches its strip's end make one block
-        for lo, hi, c in zip(r0, [*r1[:k], a1], own):
-            total += tiles(p[lo:hi], p[lo:c], upper=True)
-        # consecutive blocks with one window into the next strip make one block
-        for (c0, c1), run in groupby(zip(r0, r1, n0, n1), key=lambda b: b[2:]):
-            if c0 < c1:
-                run = list(run)
-                total += tiles(p[run[0][0] : run[-1][1]], p[c0:c1])
+        ))):
+            total += tiles(p[lo:hi], p[lo:own], upper=True)
+            if n0 < n1:
+                total += tiles(p[lo:hi], p[n0:n1])
     return float(total)
 
 

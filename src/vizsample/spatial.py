@@ -23,7 +23,10 @@ walk the ``geometry.pair_blocks`` tiles of each group against its window;
 nearest-neighbor search of the density pass, and the point losses).
 The ``sq_distances`` arithmetic decides every answer, so each is the linear
 scan's (see the tests).  Closed balls: squared distance <= r*r; nearest ties
-go to the smallest id; single writer, and readers are safe between mutations.
+go to the smallest id.  Besides the mutations, ``within_radius`` writes
+state: it leaves its distances in ``d2``, so two concurrent lookups overwrite
+each other's.  The batched queries write none, and may run together between
+mutations.
 """
 
 from __future__ import annotations
@@ -155,9 +158,10 @@ class GridIndex:
         # a point with d2 <= r*r is within r, or 2**-536 where d2 underflows;
         # where r*r overflows, every point is
         reach = (r + 1e-161) * (1 + 1e-9) / self.cell + _SLACK if r * r < math.inf else math.inf
-        if 3 * self.cell <= r and r * r > 1e-300:
-            # points of neighbouring cells are less than sqrt(8) cells
-            # apart, but the edge cells hold points from anywhere outside
+        if 3 * self.cell <= r * (1 + 1e-9) and r * r > 1e-300:
+            # points of neighbouring cells are less than sqrt(8) cells apart,
+            # so cells of r / 3 that round above it fit too; but the edge
+            # cells hold points from anywhere outside
             inner = self.shape[:, None] - 2
             mid = ((cells >= 1) & (cells <= inner)).all(axis=0)
             hit = mid & (self._count(np.maximum(cells - 1, 1), np.minimum(cells + 1, inner)) > 0)

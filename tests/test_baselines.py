@@ -55,6 +55,13 @@ def test_balanced_allocation_symmetry_and_capacity():
     assert balanced_allocation([5, 100, 100], 55) == [5, 25, 25]
 
 
+def test_balanced_allocation_leftover_goes_to_the_lowest_indexed_open_bins():
+    assert balanced_allocation([2, 2, 9], 4) == [2, 1, 1]
+    assert balanced_allocation([1, 5], 1) == [1, 0]
+    assert balanced_allocation([0, 3], 3) == [0, 3]
+    assert balanced_allocation([1, 5], -1) == [0, 0]
+
+
 def test_balanced_allocation_insufficient():
     with pytest.raises(InsufficientDataError):
         balanced_allocation([3, 4], 8)

@@ -66,8 +66,8 @@ def dense_objective(pts, params):
 
 
 def strip_objective(pts, params):
-    """``surrogate_objective`` through the strip walk at any size; (sum,
-    exponents of the walks, ``kernel_blocks`` calls as (rows, columns, upper))."""
+    """``surrogate_objective`` with its walks recorded: (sum, exponents of the
+    walks, ``kernel_blocks`` calls as (rows, columns, upper))."""
     exponents, calls = [], []
     strip_sum, blocks = quality._strip_sum, quality.kernel_blocks
 
@@ -80,7 +80,6 @@ def strip_objective(pts, params):
         return blocks(a, b, *args, upper=upper, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quality, "DENSE_PAIRS", 0)
         mp.setattr(quality, "_strip_sum", walk)
         mp.setattr(quality, "kernel_blocks", spy)
         return surrogate_objective(pts, params), exponents, calls
@@ -102,6 +101,13 @@ def test_strip_walk_matches_the_dense_pair_sum(case):
     got, _, _ = strip_objective(pts, params)
     want = dense_objective(pts, params)
     assert abs(got - want) <= (len(pts) + 1) * 2**-52 * want
+
+
+def test_a_small_sample_takes_the_strip_walk():
+    pts = np.random.default_rng(20).uniform(0, 3, (20, 2))
+    got, exponents, calls = strip_objective(pts, UNIT)
+    assert exponents and calls
+    assert abs(got - dense_objective(pts, UNIT)) <= (len(pts) + 1) * 2**-52 * got
 
 
 def test_strip_walk_runs_again_where_the_skipped_bound_is_not_negligible():
@@ -315,6 +321,29 @@ def test_draw_domain_points_matches_per_point_loop(kind, n_points, seed, radius)
     got = draw_domain_points(data, n_points, seed, radius)
     want = per_point_domain_points(data, n_points, seed, radius)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_draw_domain_points_keeps_the_membership_shortcut_where_r_over_3_rounds_up(monkeypatch):
+    # 3 * (r / 3) > r here: cells of r / 3 must still take the 3x3 shortcut
+    r = 3.8202730649803534
+    assert 3 * (r / 3) > r
+    data = gen_blobs(12000, 3, 1510)
+    centres, windowed = [], []
+    any_within, windows = spatial.GridIndex.any_within_radius, spatial.GridIndex.windows
+
+    def count_centres(self, qs, rr):
+        centres.append(len(qs))
+        return any_within(self, qs, rr)
+
+    def count_windowed(self, qs, rr):
+        windowed.append(len(qs))
+        return windows(self, qs, rr)
+
+    monkeypatch.setattr(spatial.GridIndex, "any_within_radius", count_centres)
+    monkeypatch.setattr(spatial.GridIndex, "windows", count_windowed)
+    got = draw_domain_points(data, 1000, 0, r)
+    assert sum(windowed) <= 0.1 * sum(centres)
+    assert got.tobytes() == per_point_domain_points(data, 1000, 0, r).tobytes()
 
 
 def test_draw_domain_points_rejects_hopeless_domain():
