@@ -115,20 +115,19 @@ def gauss(d2: np.ndarray, inv: float, cutoff2: float | None = None, w=None, keep
     return w
 
 
-def pair_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False, bufs=None):
+def pair_blocks(a: np.ndarray, b: np.ndarray, bufs=None):
     """``(s, d2, w, keep)`` for each slice ``s`` of as many rows of ``a`` as
     fit in ``BLOCK_CELLS`` pairs with ``b`` (at least one): ``d2`` holds
     bitwise ``sq_distances(a[s], b)``, and ``w`` (float) and ``keep`` (bool)
     are free scratch tiles of its shape.
 
-    With ``upper`` (``a`` is a prefix of ``b``) a block holds only the
-    columns j >= s.start.  Every tile is a view of one buffer that the next
-    block overwrites: use it before advancing.  The reused buffers stay in
-    cache and spare an allocation per block: with two or three block-sized
-    temporaries alive, glibc hands the heap top back to the system and the
-    next block page-faults it in again, which costs more than the kernel.
-    A caller with many small walks passes its own flat float, float and bool
-    ``bufs`` of at least max(``BLOCK_CELLS``, len(b)) cells, for the same reason."""
+    Every tile is a view of one buffer that the next block overwrites: use
+    it before advancing.  The reused buffers stay in cache and spare an
+    allocation per block: with two or three block-sized temporaries alive,
+    glibc hands the heap top back to the system and the next block
+    page-faults it in again, which costs more than the kernel.  A caller
+    with many small walks passes its own flat float, float and bool ``bufs``
+    of at least max(``BLOCK_CELLS``, len(b)) cells, for the same reason."""
     m, n = len(a), len(b)
     b = np.asfortranarray(b)  # contiguous columns
     step = max(1, BLOCK_CELLS // max(1, n))
@@ -136,11 +135,10 @@ def pair_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False, bufs=None):
         cells = min(m, step) * n
         bufs = (np.empty(cells), np.empty(cells), np.empty(cells, bool))
     for s in (slice(i, min(i + step, m)) for i in range(0, m, step)):
-        c0 = s.start if upper else 0
-        shape = (s.stop - s.start, n - c0)
+        shape = (s.stop - s.start, n)
         d2, w, keep = (x[: shape[0] * shape[1]].reshape(shape) for x in bufs)
         with np.errstate(over="ignore"):  # an inf is out of every reach
-            sq_distances(a[s], b[c0:], d2, w)
+            sq_distances(a[s], b, d2, w)
         yield s, d2, w, keep
 
 
@@ -148,13 +146,13 @@ def kernel_blocks(
     a: np.ndarray, b: np.ndarray, inv: float, cutoff2: float | None = None, upper: bool = False, bufs=None
 ):
     """``(s, gauss(sq_distances(a[s], b), inv, cutoff2))`` for each block of
-    ``pair_blocks(a, b, upper, bufs)``, in its ``w`` tile; bitwise the same
-    values.  With ``upper`` the entries with j <= i are zeroed, so a block
-    sums the unordered pairs of its rows."""
-    for s, d2, w, keep in pair_blocks(a, b, upper, bufs):
+    ``pair_blocks(a, b, bufs)``, in its ``w`` tile; bitwise the same values.
+    With ``upper`` (``a`` a prefix of ``b``) the entries with j <= i are zeroed:
+    a block sums the unordered pairs of its rows, however rows are split."""
+    for s, d2, w, keep in pair_blocks(a, b, bufs):
         gauss(d2, inv, cutoff2, w, keep)
-        if upper:  # the tile's first columns are its rows: zero j <= i there
-            np.copyto(w[:, : len(w)], 0.0, where=np.tri(len(w), dtype=bool))
+        if upper:
+            np.copyto(w[:, : s.stop], 0.0, where=np.tri(len(w), s.stop, s.start, dtype=bool))
         yield s, w
 
 

@@ -24,7 +24,7 @@ differs only by per-pair truncation error.
 
 Seeding (``load``) copies the first K streamed points at once, sorts them
 into the ``esloc`` grid in one step and sums their responsibilities in one
-``recompute``, which in ``esloc`` walks only grid-cell neighbourhoods.
+``recompute``, the objective's strip walk (one cutoff wide in ``esloc``).
 
 Batched rejection (``es`` and ``esloc``): at small K almost every point is
 dropped.  ``run_interchange`` hands a block of upcoming candidates to
@@ -43,8 +43,8 @@ import numpy as np
 
 from .dataio import Sample
 from .errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
-from .geometry import KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
-from .quality import surrogate_objective
+from .geometry import KernelParams, bounding_box, gauss, sq_distances
+from .quality import pair_sums, surrogate_objective
 from .spatial import GridIndex
 
 MODES = ("noes", "es", "esloc")
@@ -84,9 +84,9 @@ class InterchangeConfig:
 class RunStats:
     """What a run did.  ``final_objective`` (``surrogate_objective``'s strip
     walk, to within 2**-52 of the untruncated sum) and ``max_drift`` (the
-    largest relative drift a recompute saw, a final one included, an O(K^2)
-    pass) are computed from the finished ``state`` on first read; so
-    ``wall_time`` leaves them out."""
+    largest relative drift a recompute saw, a final one included) are
+    computed from the finished ``state`` on first read; so ``wall_time``
+    leaves them out."""
 
     points_seen: int = 0
     replacements: int = 0
@@ -294,23 +294,14 @@ class ResponsibilitySet:
         return len(ok) if ok.all() else int(ok.argmin())
 
     def recompute(self) -> float:
-        """Recompute responsibilities from scratch (mode-consistent truncation;
-        ``esloc`` sums cell by cell over ``windows``); returns the max drift."""
+        """Recompute responsibilities from scratch, as ``pair_sums`` (every
+        pair, or in ``esloc`` those within the cutoff); returns the max drift."""
         n = self.n
         if n == 0:
             return 0.0
-        fresh = np.empty(n)
-        groups = [(np.arange(n),) * 2]
-        if self.index is not None:
-            ids = self.index.ids[:n]  # the members in cell order: one group a cell
-            groups = ((ids[rows], cols) for rows, cols in self.index.windows(self.pts[ids], self.params.cutoff_radius))
-        for rows, cols in groups:
-            off = int(np.flatnonzero(cols == rows[0])[0])  # rows = cols[off : off + len(rows)]
-            a, b = np.take(self.pts, rows, axis=0), np.take(self.pts, cols, axis=0)
-            for s, w in kernel_blocks(a, b, self._inv, self._cutoff2):
-                lane = np.arange(s.stop - s.start)
-                w[lane, lane + off + s.start] = 0.0  # self weights: subtracting 1.0 would round
-                fresh[rows[s]] = w.sum(axis=1)
+        # the margin keeps every pair that gauss keeps at d2 <= cutoff2, whatever the rounding
+        reach = np.inf if self._cutoff2 is None else self.params.cutoff_radius * (1 + 1e-9)
+        fresh = pair_sums(self.pts[:n], self._inv, reach, self._cutoff2)
         scale = np.maximum(np.abs(fresh), 1e-300)
         drift = float(np.max(np.abs(self.rsp[:n] - fresh) / scale))
         self.rsp[:n], self._rsp_max = fresh, None

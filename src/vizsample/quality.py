@@ -11,9 +11,9 @@
 - ``bound_check``: the normalized 1/4 additive bound between an approximate
   objective and the optimum.
 
-The objective walks ``geometry.kernel_blocks`` over sorted strips one kernel
-reach wide, skipping pairs below e**-50 (``surrogate_objective``); the
-complement ``submodular_f`` walks every pair.  The point losses walk grid
+``pair_sums`` walks ``geometry.kernel_blocks`` over sorted strips one reach
+wide, for the objective (skipping pairs below e**-50) and the optimizer's
+``recompute``; ``submodular_f`` walks every pair.  The point losses walk grid
 windows (``GridIndex.scan``) that skip only points below e**-40 times a row's
 largest weight, so a sum over n points loses at most n * e**-40 of itself.
 """
@@ -74,28 +74,38 @@ def surrogate_objective(points: np.ndarray, params: KernelParams) -> float:
 
 
 def _strip_sum(pts: np.ndarray, inv: float, exponent: float) -> float:
-    """Sum of kappa_tilde over the pairs of ``pts`` within reach =
-    sqrt(exponent / inv) of each other, and some beyond it.  One sorted copy
-    holds strips of x at least one reach wide (one strip where an x
-    difference overflows), by y within each.  Blocks of ``STRIP_ROWS`` rows
-    meet two contiguous slices of it: the rest of their strip up to their
-    last y + reach, and the next strip's rows within reach in y."""
-    reach = math.sqrt(exponent / inv) if inv else math.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf difference: inf / inf is NaN, strip 0
-        x = pts[:, 0] - pts[:, 0].min()
-        # strips narrower than STRIP_ROWS points on average would cost more calls than they skip lanes
-        strip = np.nan_to_num(np.floor(x / max(reach, x.max() * STRIP_ROWS / len(x))), nan=0.0)
+    """Half the ``pair_sums`` total at reach sqrt(exponent / inv)."""
+    return float(pair_sums(pts, inv, math.sqrt(exponent / inv) if inv else math.inf).sum()) / 2
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf x difference: inf / inf is NaN, strip 0
+def pair_sums(pts: np.ndarray, inv: float, reach: float, cutoff2: float | None = None) -> np.ndarray:
+    """Each point's ``gauss`` weight sum (scale ``inv``, cut off at ``cutoff2``)
+    to the other points within ``reach``, and some beyond, in input order.
+    One sorted copy holds strips of x at least one reach wide (one where an
+    x difference overflows), by y within each.  Blocks of ``STRIP_ROWS`` rows
+    meet the rest of their strip up to their last y + reach, and the next
+    strip's rows within reach in y.  A tile folds its rows into its columns
+    one at a time, then adds its row sums: no sum depends on ``BLOCK_CELLS``."""
+    x = pts[:, 0] - pts[:, 0].min()
+    # strips narrower than STRIP_ROWS points on average would cost more calls than they skip lanes
+    strip = np.nan_to_num(np.floor(x / max(reach, x.max() * STRIP_ROWS / len(x))), nan=0.0)
     order = np.lexsort((pts[:, 1], strip))
     p, strip = pts[order], strip[order]
     y = p[:, 1]
     cells = max(BLOCK_CELLS, len(p))
     bufs = (np.empty(cells), np.empty(cells), np.empty(cells, bool))
+    sums = np.zeros(len(p))
 
-    def tiles(a, b, upper=False):
-        return sum(w.sum() for _, w in kernel_blocks(a, b, inv, upper=upper, bufs=bufs))
+    def tiles(lo, hi, c0, c1, upper=False):
+        for s, w in kernel_blocks(p[lo:hi], p[c0:c1], inv, cutoff2, upper=upper, bufs=bufs):
+            rows = w.sum(axis=1)
+            w[0] += sums[c0:c1]
+            # numpy adds axis 0 row by row, but a single column pairwise
+            sums[c0:c1] = w.sum(axis=0) if c1 - c0 > 1 else np.cumsum(w[:, 0])[-1]
+            sums[lo + s.start : lo + s.stop] += rows
 
     edges = [0, *(np.flatnonzero(np.diff(strip)) + 1).tolist(), len(p)]
-    total = 0.0
     for i, (a0, a1) in enumerate(zip(edges, edges[1:])):
         a2 = edges[i + 2] if a1 < len(p) and strip[a1] == strip[a0] + 1 else a1
         r0 = np.arange(a0, a1, STRIP_ROWS)
@@ -105,10 +115,10 @@ def _strip_sum(pts: np.ndarray, inv: float, exponent: float) -> float:
             r0, r1, a0 + np.searchsorted(y[a0:a1], top, "right"),
             a1 + np.searchsorted(y[a1:a2], y[r0] - reach), a1 + np.searchsorted(y[a1:a2], top, "right"),
         ))):
-            total += tiles(p[lo:hi], p[lo:own], upper=True)
+            tiles(lo, hi, lo, own, upper=True)
             if n0 < n1:
-                total += tiles(p[lo:hi], p[n0:n1])
-    return float(total)
+                tiles(lo, hi, n0, n1)
+    return sums[np.argsort(order)]
 
 
 def point_loss(x, sample_points: np.ndarray, params: KernelParams) -> float:
@@ -152,9 +162,9 @@ def draw_domain_points(data: np.ndarray, n_points: int, seed: int, domain_radius
     """Seeded uniform points in the data bounding box, kept only when within
     ``domain_radius`` of some dataset point, until ``n_points`` are accepted.
 
-    Points are drawn in batches of ``max(256, n_points)``, and tested 1, 2,
-    4, ... batches at a time (at most 2**16 points): the same draws, in one
-    membership query each."""
+    Points are drawn in batches of ``max(256, n_points)``, and tested one
+    batch at first, then as many as the hit rate so far says the rest needs
+    (at most 2**16 points): the same draws, in one membership query each."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     data = np.ascontiguousarray(data, dtype=float).reshape(-1, 2)
@@ -181,7 +191,7 @@ def draw_domain_points(data: np.ndarray, n_points: int, seed: int, domain_radius
                 raise DomainRejectionError(f"acceptance rate {taken}/{drawn} below {_ACCEPT_FLOOR}")
             if taken == n_points:
                 break
-        runs = min(2 * runs, max(1, 2**16 // batch))
+        runs = min(-(-(n_points - taken) * drawn // (max(taken, 1) * batch)), max(1, 2**16 // batch))
     return np.concatenate(accepted)[:n_points]
 
 
@@ -275,7 +285,7 @@ def submodular_f(points: np.ndarray, params: KernelParams) -> float:
     f(S) + objective(S) = |S|(|S|-1)/2."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     blocks = kernel_blocks(pts, pts, params.inv_2eps2, upper=True)
-    return float(sum(np.triu(1.0 - w, 1).sum() for _, w in blocks))
+    return float(sum(np.triu(1.0 - w, s.start + 1).sum() for s, w in blocks))
 
 
 @np.errstate(over="ignore")  # huge coordinates: an inf squared distance weighs 0

@@ -17,9 +17,9 @@ same range at both ends, which is monotone, so no query loses a row.
 Radius queries take one centre at a time (truncated pair-weight updates).
 Batched queries take an (m, 2) array: ``windows`` groups its rows by
 occupied cell and yields the ids that a ball around each group reaches.
-The ``esloc`` recompute and the membership test (the Monte-Carlo domain)
-walk the ``geometry.pair_blocks`` tiles of each group against its window;
-``scan`` also re-windows the rows left open with a doubled radius (the
+The membership test (the Monte-Carlo domain) walks the
+``geometry.pair_blocks`` tiles of each group against its window; ``scan``
+also re-windows the rows left open with a doubled radius (the
 nearest-neighbor search of the density pass, and the point losses).
 The ``sq_distances`` arithmetic decides every answer, so each is the linear
 scan's (see the tests).  Closed balls: squared distance <= r*r; nearest ties
@@ -130,7 +130,7 @@ class GridIndex:
         """(rows, ids) for each occupied cell of the (m, 2) queries ``qs``, in
         (column, row) order: the rows of ``qs`` in it, in row order, and the
         ids of the cells that a radius-r ball around any of them reaches,
-        column by column, so those of the rows' own cell are one run."""
+        column by column."""
         keys = self._keys(qs)
         order = np.argsort(keys, kind="stable")
         starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
@@ -217,7 +217,8 @@ class GridIndex:
     def _clamped(self, q: np.ndarray) -> np.ndarray:
         """x / cell and y / cell of the rows of ``q``, shape (2, m), clamped
         into the edge cells."""
-        return np.clip(q.T / self.cell, self._lo, self._hi)
+        with np.errstate(over="ignore"):  # an overflow to inf clips to an edge cell
+            return np.clip(q.T / self.cell, self._lo, self._hi)
 
     def _clip(self, lo, hi):
         """Integer bounds [lo, hi + 1) of cell ranges, clamped at both ends."""

@@ -216,7 +216,8 @@ def test_exp_is_called_only_in_gauss():
 @pytest.mark.parametrize("upper", [False, True])
 def test_kernel_blocks_match_gauss_per_block(monkeypatch, cutoff, upper):
     # the reused block buffers hold bitwise what gauss(sq_distances(...))
-    # gives, the last (partial) block included; ``upper`` zeroes j <= i
+    # gives, the last (partial) block included; ``upper`` keeps every column
+    # and zeroes j <= i
     rng = np.random.default_rng(21)
     a = rng.uniform(0, 30, size=(203, 2))
     b = a if upper else rng.uniform(0, 30, size=(97, 2))
@@ -226,9 +227,9 @@ def test_kernel_blocks_match_gauss_per_block(monkeypatch, cutoff, upper):
     blocks = list(geometry.kernel_blocks(a, b, inv, cutoff2, upper=upper))
     assert len(blocks) > 2 and blocks[-1][0].stop - blocks[-1][0].start < blocks[0][0].stop
     for s, w in geometry.kernel_blocks(a, b, inv, cutoff2, upper=upper):
-        want = gauss(sq_distances(a[s], b[s.start :] if upper else b), inv, cutoff2)
+        want = gauss(sq_distances(a[s], b), inv, cutoff2)
         if upper:
-            want = np.triu(want, 1)
+            want = np.triu(want, s.start + 1)
         assert w.shape == want.shape
         assert w.tobytes() == want.tobytes()
 
@@ -249,12 +250,16 @@ def test_block_budget_does_not_change_pair_sums(monkeypatch, cells):
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 3, size=(23, 2))
     xs = rng.uniform(0, 3, size=(17, 2))
+    # esloc strips one cutoff wide: two full ones, then a lone point that
+    # the second one's blocks meet in one-column tiles
+    strips = np.r_[rng.uniform((0, 0), (2, 1), size=(300, 2)), [[2.1, 0.5]]]
     params = make_params(0.5, 1.0)
-    dense_rsp, dense_loss, dense_obj = _pair_results(pts, xs, params)
+    want = [_pair_results(p, xs, params) for p in (pts, strips)]
     monkeypatch.setattr(geometry, "BLOCK_CELLS", cells)
     assert len(list(geometry.pair_blocks(pts, pts))) > 1
-    rsp, loss, obj = _pair_results(pts, xs, params)
-    for mode in rsp:
-        assert np.array_equal(rsp[mode], dense_rsp[mode])
-    assert np.array_equal(loss, dense_loss)
-    assert obj == pytest.approx(dense_obj, rel=1e-12)
+    for p, (dense_rsp, dense_loss, dense_obj) in zip((pts, strips), want):
+        rsp, loss, obj = _pair_results(p, xs, params)
+        for mode in rsp:
+            assert np.array_equal(rsp[mode], dense_rsp[mode])
+        assert np.array_equal(loss, dense_loss)
+        assert obj == pytest.approx(dense_obj, rel=1e-12)

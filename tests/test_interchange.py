@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vizsample import interchange
+from vizsample import interchange, spatial
 from vizsample.errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
-from vizsample.geometry import bounding_box, kernel_blocks, make_params
+from vizsample.geometry import bounding_box, make_params
 from vizsample.interchange import MODES, PASS_CAP, InterchangeConfig, ResponsibilitySet, run_interchange
 from vizsample.quality import surrogate_objective
+
+from test_quality import dense_pair_sums
 
 UNIT = make_params(1.0)
 
@@ -366,12 +368,7 @@ def _loaded(data, k, params, mode, box=None):
 
 def _dense_cutoff_rsp(pts, params):
     """Oracle: responsibilities by the dense ``kernel_blocks`` walk, cut off."""
-    out = np.empty(len(pts))
-    for s, w in kernel_blocks(pts, pts, params.inv_2eps2, params.cutoff_radius * params.cutoff_radius):
-        rows = np.arange(s.start, s.stop)
-        w[rows - s.start, rows] = 0.0
-        out[s] = w.sum(axis=1)
-    return out
+    return dense_pair_sums(pts, params.inv_2eps2, params.cutoff_radius * params.cutoff_radius)
 
 
 CELL_CASES = {
@@ -391,7 +388,7 @@ def test_esloc_recompute_matches_the_dense_cutoff_oracle(case):
     data, params, box = CELL_CASES[case]
     k = 250
     state = _loaded(data, k, params, "esloc", box)
-    assert state.index.starts[-1] == k  # every slot in the grid: the cell path
+    assert state.index.starts[-1] == k  # every slot in the grid
     if case == "lattice-cutoff-is-cell":
         assert state.index.cell == 1.0
     np.testing.assert_allclose(state.rsp[:k], _dense_cutoff_rsp(state.points, params), rtol=1e-12, atol=0)
@@ -400,6 +397,31 @@ def test_esloc_recompute_matches_the_dense_cutoff_oracle(case):
         state.step(p, i)
     state.recompute()
     np.testing.assert_allclose(state.rsp[:k], _dense_cutoff_rsp(state.points, params), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_recompute_is_one_pair_sums_walk(monkeypatch, mode):
+    calls = []
+    walk = interchange.pair_sums
+
+    def spy(pts, inv, reach, cutoff2=None):
+        calls.append((len(pts), reach, cutoff2))
+        return walk(pts, inv, reach, cutoff2)
+
+    def windows(*args):
+        raise AssertionError("recompute walked grid windows")
+
+    monkeypatch.setattr(interchange, "pair_sums", spy)
+    monkeypatch.setattr(spatial.GridIndex, "windows", windows)
+    params = make_params(0.1)
+    state = _loaded(DATASETS["uniform"], 250, params, mode)
+    state.recompute()
+    assert [n for n, *_ in calls] == [250, 250]
+    for _, reach, cutoff2 in calls:
+        if mode == "esloc":
+            assert cutoff2 == params.cutoff_radius**2 and params.cutoff_radius < reach < 1.01 * params.cutoff_radius
+        else:
+            assert (reach, cutoff2) == (math.inf, None)
 
 
 def test_esloc_recompute_of_a_lone_point_is_zero():

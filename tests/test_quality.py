@@ -25,6 +25,7 @@ from vizsample.quality import (
     log_loss_ratio,
     marginal_gain,
     mc_loss,
+    pair_sums,
     point_loss,
     point_losses,
     submodular_f,
@@ -101,6 +102,59 @@ def test_strip_walk_matches_the_dense_pair_sum(case):
     got, _, _ = strip_objective(pts, params)
     want = dense_objective(pts, params)
     assert abs(got - want) <= (len(pts) + 1) * 2**-52 * want
+
+
+def dense_pair_sums(pts, inv, cutoff2=None):
+    """The oracle of ``pair_sums``: each point's weights to every other point."""
+    out = np.empty(len(pts))
+    for s, w in kernel_blocks(pts, pts, inv, cutoff2):
+        rows = np.arange(s.start, s.stop)
+        w[rows - s.start, rows] = 0.0
+        out[s] = w.sum(axis=1)
+    return out
+
+
+@st.composite
+def pair_sum_cases(draw):
+    """(points, inv, cutoff or None): up to 300 points, enough for several
+    strips.  Floats within two reaches of 0 and quarter-lattice ties, with
+    duplicates; an integer lattice, with pairs at exactly a cutoff of 1, 2
+    or 5; or some points at +-1.7e308, where an x difference overflows and
+    one strip holds every point."""
+    kind = draw(st.sampled_from(["floats", "lattice", "overflow"]))
+    eps = 10.0 ** draw(st.floats(-3, 3)) if kind == "floats" else draw(st.sampled_from([0.5, 1.0]))
+    inv = make_params(eps).inv_2eps2
+    cutoff = draw(st.none() | st.sampled_from([1.0, 2.0, 5.0]))
+    if cutoff is not None and kind == "floats":
+        cutoff *= eps
+    # the reach of the esloc recompute, or of surrogate_objective's widest walk
+    reach = math.sqrt(701.0 / inv) if cutoff is None else cutoff * (1 + 1e-9)
+    coord = {
+        "floats": st.one_of(st.floats(-2, 2), st.integers(-8, 8).map(lambda v: v / 4)).map(lambda v: v * reach),
+        "lattice": st.integers(-6, 6).map(float),
+        "overflow": st.one_of(st.floats(-10, 10), st.sampled_from([-1.7e308, 1.7e308, 1e300])),
+    }[kind]
+    size = draw(st.integers(1, 100))
+    distinct = draw(st.lists(st.tuples(coord, coord), min_size=size, max_size=size))
+    size = draw(st.integers(0, 200))
+    copies = draw(st.lists(st.sampled_from(distinct), min_size=size, max_size=size))
+    return np.array(distinct + copies), inv, cutoff
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=120, deadline=None)
+@given(pair_sum_cases())
+def test_pair_sums_match_the_dense_per_point_sums(case):
+    pts, inv, cutoff = case
+    if cutoff is None:
+        # every pair, or every pair that gauss weighs above 0
+        want = dense_pair_sums(pts, inv)
+        for reach in (math.inf, math.sqrt(701.0 / inv)):
+            assert (abs(pair_sums(pts, inv, reach) - want) <= (len(pts) + 1) * 2**-52 * want).all()
+    else:
+        # the margin of the esloc recompute keeps every pair within the cutoff
+        got = pair_sums(pts, inv, cutoff * (1 + 1e-9), cutoff * cutoff)
+        np.testing.assert_allclose(got, dense_pair_sums(pts, inv, cutoff * cutoff), rtol=1e-12, atol=0)
 
 
 def test_a_small_sample_takes_the_strip_walk():
@@ -344,6 +398,22 @@ def test_draw_domain_points_keeps_the_membership_shortcut_where_r_over_3_rounds_
     got = draw_domain_points(data, 1000, 0, r)
     assert sum(windowed) <= 0.1 * sum(centres)
     assert got.tobytes() == per_point_domain_points(data, 1000, 0, r).tobytes()
+
+
+def test_draw_domain_points_sizes_the_next_round_from_the_hit_rate(monkeypatch):
+    # as evaluate draws them: 954 of the first 1,000 draws hit, so one more
+    # batch takes the last 46 (doubling the batch count tested 2,000)
+    data = gen_blobs(12000, 3, 1510)
+    draws = []
+    any_within = spatial.GridIndex.any_within_radius
+
+    def count(self, qs, r):
+        draws.append(len(qs))
+        return any_within(self, qs, r)
+
+    monkeypatch.setattr(spatial.GridIndex, "any_within_radius", count)
+    got = draw_domain_points(data, 1000, 0, 10.0 * default_epsilon(data).epsilon)
+    assert draws == [1000, 1000] and len(got) == 1000
 
 
 def test_draw_domain_points_rejects_hopeless_domain():

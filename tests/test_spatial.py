@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vizsample.errors import EmptyIndexError
@@ -222,12 +222,17 @@ def test_batched_membership_at_exactly_r(r, cell):
 
 @pytest.mark.parametrize("k", [1, 2, 50])
 def test_batched_nearest_single_cell_and_far_queries(k):
-    # every member in one cell, queries spread around it and far away
+    # every member in one cell, queries spread around it and far away; the
+    # last one over a small cell overflows to inf, which clips to an edge cell
     rng = np.random.default_rng(k)
     pts = rng.uniform(0, 1e-3, size=(k, 2))
-    qs = np.vstack([rng.uniform(-5, 5, size=(300, 2)), [[1e12, -1e12], [-3e15, 0.0]]])
+    qs = np.vstack([rng.uniform(-5, 5, size=(300, 2)), [[1e12, -1e12], [-3e15, 0.0], [0.0, 1.7e308]]])
+    with np.errstate(over="ignore"):  # the scans square the last query's distances
+        nearest, near = scan_nearest_all(pts, qs), scan_any_all(pts, qs, 0.5)
     for cell in (1.0, 1e-9):
-        assert full_index(cell, pts).nearest_neighbor(qs).tolist() == scan_nearest_all(pts, qs).tolist()
+        idx = full_index(cell, pts)
+        assert idx.nearest_neighbor(qs).tolist() == nearest.tolist()
+        assert idx.any_within_radius(qs, 0.5).tolist() == near.tolist()
 
 
 def test_batched_queries_use_live_ids_only():
@@ -308,6 +313,8 @@ wide = st.floats(-1e3, 1e3, allow_nan=False) | lattice | st.sampled_from([1e300,
     r=st.sampled_from([0.0, 1e-300, 0.3, 1.0, 7.5, 1e3, 1e300, math.inf]),
     cell=st.sampled_from([0.05, 1.0, 25.0]),
 )
+# a query over a small cell that overflows to inf
+@example(pts=[(0.0, 0.0)] * 25, qs=[(0.0, 1.7e308)], live=25, r=0.0, cell=0.05)
 def test_windows_partition_the_queries_and_reach_every_id_in_range(pts, qs, live, r, cell):
     # an index on the box [-5, 5]^2 holding the first ``live`` rows, so rows
     # and queries lie outside it too, and it may be empty
@@ -333,6 +340,6 @@ def test_windows_partition_the_queries_and_reach_every_id_in_range(pts, qs, live
                 d = np.hypot(*(pts[ids_live] - q).T)  # no overflow of a squared radius
                 if reach > 0:
                     assert {i for i, di in zip(ids_live, d) if di <= reach} <= window
-                # and every id ``within_radius`` finds, as the esloc recompute needs
+                # and every id ``within_radius`` finds: no lookup keeps an id a window misses
                 if math.isfinite(r):
                     assert set(idx.within_radius(q, r).tolist()) <= window
