@@ -2,19 +2,20 @@
 
 The optimizer keeps the current sample together with one responsibility
 accumulator per member: the (unhalved) sum of pair weights to every other
-member.  Each incoming point is scored against the members first: when it
-would itself carry the largest responsibility, no replacement lowers the
-objective and it is dropped, writing nothing.  Otherwise it is added
-(``expand``) and the member with the largest responsibility is evicted
-(``shrink``), which is equivalent to taking the best single replacement.
+member.  Each incoming point p goes to ``shrink``, which shrinks the expanded
+set R + {p} back to K without building it: when p would itself carry the
+largest responsibility, no replacement lowers the objective and it is
+dropped, writing nothing.  Otherwise p overwrites the member with the
+largest responsibility in its slot, which is equivalent to taking the best
+single replacement.  ``expand`` only grows a set below K.
 
 Three execution modes:
 
 - ``noes``  -- reference path (the oracle for the other two): every point is
-  expanded, the responsibilities of the expanded set are recomputed from
-  scratch (O(K^2) per point), then ``shrink`` evicts.
-- ``es``    -- scored, then incremental bookkeeping: a dropped point reads its
-  weights and a cached top responsibility, a commit one O(K) max and ``==``.
+  scored on the responsibilities of the expanded set summed from scratch by
+  ``pair_sums`` (O(K^2) per point).
+- ``es``    -- incremental bookkeeping: a dropped point reads its weights and
+  a cached top responsibility, a commit one O(K) max and ``==``.
 - ``esloc`` -- like ``es`` but pair weights beyond the cutoff radius are
   treated as zero, with a grid index over the member slots locating the
   affected members, so a dropped point reads only its grid window.
@@ -110,27 +111,29 @@ class RunStats:
 class ResponsibilitySet:
     """The optimizer state: points, responsibilities, insertion order.
 
-    Capacity is K+1; the set transiently holds K+1 entries between ``expand``
-    and ``shrink``.  ``order`` numbers the entries in insertion order; only
-    its order among the entries counts.  In ``esloc`` mode a grid index holds
-    every entry; its ids are slots, relabelled in place when a removal moves
-    the last slot, so the cell order of its members is their insertion order.
-    ``box`` (lo, hi) is the region the points come from, which sizes that
-    grid; points outside it are still found, in the grid's edge cells.
+    Capacity is K: a commit overwrites the evicted member's slot in place.
+    ``order`` numbers the entries in insertion order; only its order among
+    the entries counts.  In ``esloc`` mode a grid index holds every entry;
+    its ids are slots, and a commit removes the slot before it is overwritten
+    and inserts it after, at the end of its cell, so the cell order of its
+    members is their insertion order.  ``box`` (lo, hi) is the region the
+    points come from, which sizes that grid; points outside it are still
+    found, in the grid's edge cells.
     """
 
     def __init__(self, k: int, params: KernelParams, mode: str = "es", box=((0.0, 0.0), (0.0, 0.0))):
+        if k < 1:
+            raise ValueError("k must be >= 1")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        cap = k + 1
         self.k = k
         self.params = params
         self.mode = mode
-        self.pts = np.empty((cap, 2), dtype=float)
-        self.rsp = np.zeros(cap, dtype=float)
+        self.pts = np.empty((k, 2), dtype=float)
+        self.rsp = np.zeros(k, dtype=float)
         self._rsp_max = None  # max of rsp[:n] at rest, or None: whoever writes rsp resets it
-        self.order = np.empty(cap, dtype=np.int64)
-        self.src = np.empty(cap, dtype=np.int64)
+        self.order = np.empty(k, dtype=np.int64)
+        self.src = np.empty(k, dtype=np.int64)
         self.n = 0
         self._seq = 0
         self.last_removed_src = -1
@@ -174,68 +177,65 @@ class ResponsibilitySet:
     # -- mutations -------------------------------------------------------
 
     def expand(self, point, source_index: int = -1) -> None:
-        """Insert ``point``; its responsibility is the weight sum to current
-        members, whose responsibilities grow by their weight to ``point``."""
-        if self.n > self.k:
-            raise ValueError("expand on an already-expanded set")
+        """Add ``point`` to a set below K; its responsibility is the weight sum
+        to current members, whose responsibilities grow by their weight to it."""
+        if self.n == self.k:
+            raise ValueError("expand on a full set: a set of K entries takes points through shrink")
         p = np.asarray(point, dtype=float)
-        self._append(p, source_index, *self._weights_to(p))
-
-    def _append(self, p: np.ndarray, source_index: int, slots: np.ndarray, contrib: np.ndarray) -> None:
-        """``expand`` with the weights of ``p`` in hand."""
+        slots, contrib = self._weights_to(p)
         self.rsp[slots] += contrib
         self._rsp_max = None
-        slot = self.n
-        self.pts[slot] = p
-        self.rsp[slot] = float(contrib.sum())
-        self.order[slot] = self._seq
-        self.src[slot] = source_index
-        if self.index is not None:
-            self.index.insert(slot)
-        self._seq += 1
+        self.pts[self.n], self.rsp[self.n] = p, float(contrib.sum())
+        self._write(self.n, source_index)
         self.n += 1
 
-    def shrink(self, j: int | None = None) -> bool:
-        """Evict slot ``j``, as ``step`` scored it, or the max-responsibility
-        entry (ties: most recently inserted), where an entry at exactly the
-        newest point's coordinates gives way to the newest: rounding noise in
-        the responsibilities of duplicates must not count as a replacement.
-
-        Returns True when the evicted entry is not the most recent insertion,
-        i.e. the step replaced an incumbent.
-        """
+    def shrink(self, p: np.ndarray, source_index: int, slots: np.ndarray, w: np.ndarray) -> bool:
+        """Shrink the expanded set R + {p} back to K entries without writing p
+        to a slot of its own; ``w`` are p's weights to the member ``slots``.
+        The largest responsibility goes (ties: the newest entry, p), and a
+        member at exactly p's coordinates gives way to p, so rounding noise
+        between duplicates is no replacement.  ``noes`` scores on
+        ``pair_sums`` of the K+1 points, ``es`` and ``esloc`` on the stored
+        responsibilities and a cached top.  Returns False, writing nothing,
+        when p goes; otherwise p overwrites the evicted slot and it is True."""
         n = self.n
-        if n != self.k + 1:
-            raise ValueError("shrink requires an expanded set of size K+1")
-        newest_slot = n - 1  # expand always appends
-        if j is None:
-            j = self._top(self.rsp[:n].max())
-            if j != newest_slot and self.pts[j].tolist() == self.pts[newest_slot].tolist():
-                j = newest_slot
-
-        slots, contrib = self._weights_to(self.pts[j])
-        self.rsp[slots] -= contrib  # rsp[j] goes with its slot
-        self._remove_slot(j)
-        return j != newest_slot
-
-    def _top(self, top: float, also: np.ndarray = np.arange(0)) -> int:
-        """Newest slot whose responsibility is ``top``, among the entries and ``also``."""
-        cand = np.concatenate((np.flatnonzero(self.rsp[: self.n] == top), also))
-        return int(cand[np.argmax(self.order[cand])])
-
-    def _remove_slot(self, j: int) -> None:
-        last = self.n - 1
+        if n != self.k:
+            raise ValueError("shrink requires a set at rest (|R| = K)")
+        if self.mode == "noes":
+            fresh = pair_sums(np.vstack((self.pts[:n], p)), self._inv, np.inf)
+            top, mine, grown = fresh.max(), fresh[n], fresh[:n]
+        else:
+            if self._rsp_max is None:
+                self._rsp_max = self.rsp[:n].max()
+            grown = self.rsp[slots] + w
+            top, mine = max(self._rsp_max, grown.max(initial=-np.inf)), w.sum()
+        if mine >= top:
+            return False
+        tied = slots[grown == top]
+        if self.index is not None:  # members outside p's window may hold the top
+            tied = np.concatenate((np.flatnonzero(self.rsp[:n] == top), tied))
+        if self.pts[j := int(tied[np.argmax(self.order[tied])])].tolist() == p.tolist():
+            return False
+        out, w_out = self._weights_to(self.pts[j])  # j's window, before p is written
+        self.rsp[slots] += w
+        self.rsp[out] -= w_out
+        # squared distances are bitwise symmetric, so p's window holds w(j, p):
+        # at position j where the window is every slot, else once or not at all
+        self.rsp[j] = float(w.sum()) - float(w[j] if self.index is None else w[slots == j].sum())
+        self._rsp_max = None
         self.last_removed_src = int(self.src[j])
         if self.index is not None:
             self.index.remove(j)
-        if j != last:
-            self.pts[j] = self.pts[last]
-            self.rsp[j] = self.rsp[last]
-            self.order[j] = self.order[last]
-            self.src[j] = self.src[last]
-            if self.index is not None:
-                self.index.relabel(last, j)
-        self.n = last
+        self.pts[j] = p
+        self._write(j, source_index)
+        return True
+
+    def _write(self, slot: int, source_index: int) -> None:
+        """Stamp the point just written to ``slot`` as the newest entry and index it."""
+        self.order[slot], self.src[slot] = self._seq, source_index
+        if self.index is not None:
+            self.index.insert(slot)
+        self._seq += 1
 
     def load(self, points: np.ndarray, sources: np.ndarray) -> None:
         """Seed an empty set with up to K points, as one ``expand`` each would (up to rounding)."""
@@ -249,25 +249,11 @@ class ResponsibilitySet:
         self.recompute()
 
     def step(self, point, source_index: int = -1) -> bool:
-        """Process one streamed point; returns True when it replaced a member.
-        ``es`` and ``esloc`` append and shrink only a replacement: a point
-        ``shrink`` would evict again writes nothing."""
+        """Process one streamed point; returns True when it replaced a member."""
         if self.n != self.k:
             raise ValueError("step requires a set at rest (|R| = K)")
         p = np.asarray(point, dtype=float)
-        if self.mode == "noes":
-            self.expand(p, source_index)
-            self.recompute()
-            return self.shrink()
-        slots, w = self._weights_to(p)
-        if self._rsp_max is None:
-            self._rsp_max = self.rsp[: self.n].max()
-        g = self.rsp[slots] + w
-        top = max(self._rsp_max, g.max(initial=-np.inf))
-        if w.sum() >= top or self.pts[j := self._top(top, slots[g == top])].tolist() == p.tolist():
-            return False
-        self._append(p, source_index, slots, w)
-        return self.shrink(j)
+        return self.shrink(p, source_index, *self._weights_to(p))
 
     def reject_run(self, cands: np.ndarray) -> int:
         """Settle the leading rows of ``cands`` (m, 2) that ``step`` would

@@ -2,10 +2,9 @@
 
 ``GridIndex(cell_size, pts, box)`` indexes row ids of an (n, 2) float64
 array that the caller keeps: it writes row ``i`` before ``insert(i)`` (rows
-below n before ``load(n)``), calls ``remove(i)`` before it overwrites that
-row, and copies a row to its new place before ``relabel``.  Without a
-``box`` it holds every row, on their bounding box.  It keeps no copy of the
-points.
+below n before ``load(n)``), and calls ``remove(i)`` before it overwrites
+that row and ``insert(i)`` after.  Without a ``box`` it holds every row, on
+their bounding box.  It keeps no copy of the points.
 
 ``ids`` lists the live ids sorted by (cell column, cell row, insertion); cell
 k = column * rows + row holds ``ids[starts[k]:starts[k + 1]]``.  Cells fall
@@ -87,9 +86,6 @@ class GridIndex:
         cs = self.cell
         return _at(self._mv[id_, 0] / cs, x0, x1) * self._ny + _at(self._mv[id_, 1] / cs, y0, y1)
 
-    def _find(self, k: int, id_: int) -> int:
-        return self._sv[k] + self._iv[self._sv[k] : self._sv[k + 1]].tolist().index(id_)
-
     def insert(self, id_: int) -> None:
         k = self._key(id_)
         p, n = self._sv[k + 1], self._sv[-1]
@@ -99,14 +95,10 @@ class GridIndex:
 
     def remove(self, id_: int) -> None:
         k = self._key(id_)
-        p, n = self._find(k, id_), self._sv[-1]
+        a, n = self._sv[k], self._sv[-1]
+        p = a + self._iv[a : self._sv[k + 1]].tolist().index(id_)
         self._iv[p : n - 1] = self._iv[p + 1 : n]
         self.starts[k + 1 :] -= 1
-
-    def relabel(self, old: int, new: int) -> None:
-        """Move id ``old`` to row ``new``, which already holds its point; it
-        keeps its place in its cell, and so in the order of query results."""
-        self._iv[self._find(self._key(new), old)] = new
 
     def within_radius(self, center, r: float) -> np.ndarray:
         """Ids of all points with Euclidean distance <= r from ``center``, read

@@ -20,6 +20,8 @@ from vizsample.exact import (
     weights_from_points,
 )
 from vizsample.geometry import make_params
+from vizsample.interchange import PASS_CAP, InterchangeConfig, run_interchange
+from vizsample.quality import bound_check
 
 UNIT = make_params(1.0)
 
@@ -178,6 +180,68 @@ def test_lp_solved_externally_matches_brute_force(tmp_path):
     assert m is not None
     _, best = brute_force_vas(wm, 2)
     assert float(m.group(1)) == pytest.approx(best, abs=1e-9)
+
+
+def solve_lp_highs(path):
+    """Optimum of an ``export_mip_lp`` file, by HiGHS with every variable
+    binary, as declared, and no relative gap; skips where scipy is missing."""
+    opt = pytest.importorskip("scipy.optimize")
+    obj, constraints, binaries = parse_lp(path.read_text())
+    col = {name: i for i, name in enumerate(binaries)}
+
+    def row(expr):  # terms "[+|-] [coefficient] name"
+        out, sign, coef = np.zeros(len(col)), 1.0, 1.0
+        for tok in expr.split():
+            if tok in ("+", "-"):
+                sign = -1.0 if tok == "-" else 1.0
+            elif tok in col:
+                out[col[tok]] += sign * coef
+                sign, coef = 1.0, 1.0
+            else:
+                coef = float(tok)
+        return out
+
+    a, lo, hi = [], [], []
+    for line in constraints:
+        expr, op, rhs = re.fullmatch(r"\w+: (.*) (<=|>=|=) (\S+)", line).groups()
+        a.append(row(expr))
+        lo.append(-math.inf if op == "<=" else float(rhs))
+        hi.append(math.inf if op == ">=" else float(rhs))
+    res = opt.milp(
+        row(obj.split(":", 1)[1]),
+        constraints=opt.LinearConstraint(np.array(a), lo, hi),
+        integrality=np.ones(len(col)),
+        bounds=opt.Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def _uniform_weights(n):
+    return weights_from_points(np.random.default_rng(n).uniform(0, 3, size=(n, 2)), make_params(0.6))
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (12, 4), (20, 4), (24, 3)])
+def test_lp_solved_by_highs_matches_brute_force(n, k, tmp_path):
+    wm = _uniform_weights(n)
+    export_mip_lp(wm, k, tmp_path / "model.lp")
+    _, best = brute_force_vas(wm, k)
+    assert solve_lp_highs(tmp_path / "model.lp") == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [25, 30])
+def test_converged_interchange_meets_the_bound_against_the_mip_optimum(n, tmp_path):
+    # past brute force's reach, the exact model is the optimum oracle
+    k, params = 4, make_params(0.6)
+    data = np.random.default_rng(n).uniform(0, 3, size=(n, 2))
+    export_mip_lp(weights_from_points(data, params), k, tmp_path / "model.lp")
+    opt = solve_lp_highs(tmp_path / "model.lp")
+    cfg = InterchangeConfig(k=k, mode="es", passes=PASS_CAP, seed=n)
+    _, stats = run_interchange(data, cfg, params)
+    assert stats.stop_reason == "converged"
+    assert stats.final_objective >= opt - 1e-9
+    assert bound_check(stats.final_objective, opt, k)[2]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

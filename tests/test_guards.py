@@ -36,8 +36,14 @@ GUARDS = {
     "config-passes": (lambda: InterchangeConfig(k=1, passes=0), ValueError, "passes must be"),
     "config-mode": (lambda: InterchangeConfig(k=1, mode="fast"), ValueError, "mode must be one of"),
     "state-mode": (lambda: ResponsibilitySet(1, UNIT, mode="fast"), ValueError, "mode must be one of"),
-    "expand-expanded": (lambda: _state(1, 2).expand((5.0, 0.0)), ValueError, "already-expanded"),
-    "shrink-at-rest": (lambda: _state(1, 1).shrink(), ValueError, "shrink requires"),
+    "state-k": (lambda: ResponsibilitySet(0, UNIT), ValueError, "k must be >= 1"),
+    "state-k-negative": (lambda: ResponsibilitySet(-1, UNIT, mode="noes"), ValueError, "k must be >= 1"),
+    "expand-expanded": (lambda: _state(1, 1).expand((5.0, 0.0)), ValueError, "expand on a full set"),
+    "shrink-at-rest": (
+        lambda: _state(2, 1).shrink(np.zeros(2), 1, np.arange(1), np.ones(1)),
+        ValueError,
+        "shrink requires",
+    ),
     "step-not-at-rest": (lambda: _state(2, 1).step((5.0, 0.0)), ValueError, "step requires"),
     "stratified-grid": (lambda: StratifiedConfig(grid_cells_per_axis=0, k=1), ValueError, "grid_cells_per_axis"),
     "stratified-k": (lambda: StratifiedConfig(grid_cells_per_axis=1, k=0), ValueError, "k must be >= 1"),

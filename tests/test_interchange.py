@@ -45,7 +45,7 @@ def test_expand_duplicate_point():
 
 
 def test_expand_line_example():
-    r = fresh_set(2, UNIT)
+    r = fresh_set(3, UNIT)
     r.expand((0.0, 0.0))
     r.expand((1.0, 0.0))
     r.expand((2.0, 0.0))
@@ -56,11 +56,17 @@ def test_expand_line_example():
     assert got[(2.0, 0.0)] == pytest.approx(e2 + e05, rel=1e-12)
 
 
+def shrink_with(r, point, source_index=-1):
+    """``shrink`` of R + {point}, with the weights ``step`` would hand it."""
+    p = np.asarray(point, dtype=float)
+    return r.shrink(p, source_index, *r._weights_to(p))
+
+
 def test_shrink_line_example_removes_middle():
     r = fresh_set(2, UNIT)
-    for x in (0.0, 1.0, 2.0):
+    for x in (0.0, 1.0):
         r.expand((x, 0.0))
-    replaced = r.shrink()
+    replaced = shrink_with(r, (2.0, 0.0))
     assert replaced  # evicted the middle incumbent, not the newest point
     assert sorted(p[0] for p in r.points) == [0.0, 2.0]
     assert r.objective() == pytest.approx(math.exp(-2.0), rel=1e-9)
@@ -68,13 +74,12 @@ def test_shrink_line_example_removes_middle():
 
 def test_shrink_all_identical_removes_newest():
     r = fresh_set(3, UNIT)
-    for _ in range(4):
+    for _ in range(3):
         r.expand((5.0, 5.0))
-    newest = int(r.order[r.n - 1])
-    replaced = r.shrink()
+    before = _state_record(r)
+    replaced = shrink_with(r, (5.0, 5.0))
     assert not replaced
-    assert newest not in set(r.order[: r.n])
-    assert r.n == 3
+    assert _state_record(r) == before  # the newest copy went, writing nothing
 
 
 def test_shrink_matches_recomputation_oracle():
@@ -83,7 +88,7 @@ def test_shrink_matches_recomputation_oracle():
     for _ in range(50):
         pts = rng.uniform(0, 1, size=(6, 2))
         r = fresh_set(5, params)
-        for p in pts:
+        for p in pts[:5]:
             r.expand(p)
         # independent responsibilities via direct pair sums
         rsp = [
@@ -95,8 +100,8 @@ def test_shrink_matches_recomputation_oracle():
             for i in range(6)
         ]
         expect_removed = tuple(pts[int(np.argmax(rsp))])
-        before = {tuple(p) for p in r.points}
-        r.shrink()
+        before = {tuple(p) for p in pts}
+        shrink_with(r, pts[5])
         after = {tuple(p) for p in r.points}
         assert before - after == {expect_removed}
 
@@ -392,7 +397,7 @@ def test_esloc_recompute_matches_the_dense_cutoff_oracle(case):
     if case == "lattice-cutoff-is-cell":
         assert state.index.cell == 1.0
     np.testing.assert_allclose(state.rsp[:k], _dense_cutoff_rsp(state.points, params), rtol=1e-12, atol=0)
-    # again after steps have evicted, moved and relabelled slots
+    # again after steps have overwritten evicted slots
     for i, p in enumerate(data[k:], start=k):
         state.step(p, i)
     state.recompute()
@@ -552,25 +557,60 @@ def _oracle_top(state, rsp):
     return int(cand[np.argmax(state.order[cand])])
 
 
-def _oracle_step(state, point, source_index):
-    """``step`` without the cached maximum: it scores on a copy of every
-    responsibility, and ``shrink`` searches for its slot again."""
+def _k_plus_one(state, data, box=None):
+    """Oracle state with room for K+1 entries, seeded like the loaded
+    ``state`` from data[:K], for ``_k_plus_one_step``.  Its grid takes the
+    cell of ``state``'s, which a grid sized for K+1 rows never refines."""
+    k = state.k
+    box = bounding_box(data) if box is None else box
+    oracle = ResponsibilitySet(k, state.params, state.mode, box)
+    oracle.pts, oracle.rsp = np.empty((k + 1, 2)), np.zeros(k + 1)
+    oracle.order, oracle.src = np.empty(k + 1, dtype=np.int64), np.empty(k + 1, dtype=np.int64)
+    if state.index is not None:
+        oracle.index = spatial.GridIndex(state.index.cell, oracle.pts, box)
+        assert oracle.index.cell == state.index.cell
+    oracle.load(data[:k], np.arange(k))
+    return oracle
+
+
+def _k_plus_one_step(state, point, source_index):
+    """``step`` as the set of K+1 slots took it, on a ``_k_plus_one`` state:
+    ``es`` and ``esloc`` score on a full copy of the responsibilities, with
+    no cached maximum, and expand only a replacement; ``noes`` expands every
+    point and recomputes the K+1 responsibilities.  The point goes to slot
+    K; the evicted slot j is searched for again, and slot K is moved into it
+    and relabelled j in its place in the grid."""
     p = np.asarray(point, dtype=float)
+    k = state.k
     slots, w = state._weights_to(p)
-    grown = state.rsp[: state.n].copy()
-    grown[slots] += w
-    if w.sum() >= grown.max() or state.pts[_oracle_top(state, grown)].tolist() == p.tolist():
-        return False
-    state._append(p, source_index, slots, w)
-    n = state.n
-    j = _oracle_top(state, state.rsp[:n])
-    if j != n - 1 and state.pts[j].tolist() == state.pts[n - 1].tolist():
-        j = n - 1
+    if state.mode != "noes":
+        grown = state.rsp[:k].copy()
+        grown[slots] += w
+        if w.sum() >= grown.max() or state.pts[_oracle_top(state, grown)].tolist() == p.tolist():
+            return False
+    state.rsp[slots] += w
+    state.pts[k], state.rsp[k], state.order[k], state.src[k] = p, float(w.sum()), state._seq, source_index
+    if state.index is not None:
+        state.index.insert(k)
+    state._seq, state.n = state._seq + 1, k + 1
+    if state.mode == "noes":
+        state.recompute()
+    j = _oracle_top(state, state.rsp[: k + 1])
+    if j != k and state.pts[j].tolist() == p.tolist():
+        j = k
     slots, w = state._weights_to(state.pts[j])
-    keep = slots != j
-    state.rsp[slots[keep]] -= w[keep]
-    state._remove_slot(j)
-    return j != n - 1
+    state.rsp[slots] -= w
+    state.n = k
+    if state.index is not None:
+        state.index.remove(j)
+    if j == k:
+        return False
+    state.last_removed_src = int(state.src[j])
+    state.pts[j], state.rsp[j], state.order[j], state.src[j] = state.pts[k], state.rsp[k], state.order[k], state.src[k]
+    if state.index is not None:
+        ids = state.index.ids
+        ids[ids[:k].tolist().index(k)] = j
+    return True
 
 
 @settings(max_examples=150, deadline=None)
@@ -587,7 +627,8 @@ def test_cached_step_matches_the_full_copy_oracle(mode, rows, k, eps, interval, 
     # and ulp bumps (the rounding noise recomputes leave) must not leave it stale
     data = np.array(rows + rows)  # a second pass offers every row again
     k = min(k, len(rows) - 1)
-    cached, oracle = (_loaded(data, k, make_params(eps), mode) for _ in range(2))
+    cached = _loaded(data, k, make_params(eps), mode)
+    oracle = _k_plus_one(cached, data)
 
     def bump(r):  # at rest, after a write that resets the cache
         if bumps:
@@ -598,13 +639,52 @@ def test_cached_step_matches_the_full_copy_oracle(mode, rows, k, eps, interval, 
 
     bump(0)
     for i, p in enumerate(data[k:], start=k):
-        assert cached.step(p, i) == _oracle_step(oracle, p, i)
+        assert cached.step(p, i) == _k_plus_one_step(oracle, p, i)
         assert cached.last_removed_src == oracle.last_removed_src
         if (i - k + 1) % interval == 0:
             assert cached.recompute() == oracle.recompute()
             bump(i + 1)
         assert _state_record(cached) == _state_record(oracle)
         assert cached._rsp_max in (None, cached.rsp[:k].max())
+
+
+_STREAMED = (
+    st.tuples(_COORD, _COORD)
+    | st.tuples(_HALF_LATTICE, _HALF_LATTICE)
+    | st.tuples(st.floats(-3, 8), st.floats(-3, 8))  # mostly outside the seeds' box
+    | st.integers(0, 60)  # a copy of an earlier row: a member, or one evicted
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    seeds=st.lists(st.tuples(_COORD, _COORD) | st.tuples(_HALF_LATTICE, _HALF_LATTICE), min_size=1, max_size=12),
+    stream=st.lists(_STREAMED, min_size=1, max_size=40),
+    eps=st.sampled_from([0.3, 1.0, 3.0]),
+)
+def test_commit_in_place_matches_the_k_plus_one_path(mode, seeds, stream, eps):
+    # a commit overwrites the evicted slot in place; the K+1 path moved the
+    # last slot into it, so both leave the same slots, and the same grid
+    rows = list(seeds)
+    for x in stream:
+        rows.append(rows[x % len(rows)] if isinstance(x, int) else x)
+    data = np.array(rows, dtype=float)
+    k = len(seeds)
+    box = bounding_box(data[:k])
+    state = _loaded(data, k, make_params(eps), mode, box)
+    oracle = _k_plus_one(state, data, box)
+    for i, p in enumerate(data[k:], start=k):
+        assert state.step(p, i) == _k_plus_one_step(oracle, p, i)
+        assert state.last_removed_src == oracle.last_removed_src
+        a, b = _state_record(state), _state_record(oracle)
+        assert a[0] == b[0] and a[3] == b[3] and a[5] == b[5]  # points, sources, grid
+        assert np.argsort(state.order[:k]).tolist() == np.argsort(oracle.order[:k]).tolist()
+        if mode == "noes":
+            # the K+1 path recomputed; a commit here adds and subtracts weights
+            np.testing.assert_allclose(state.rsp[:k], oracle.rsp[:k], rtol=1e-9, atol=1e-12)
+        else:
+            assert a[1] == b[1]
 
 
 def test_reject_run_needs_a_replayable_mode_at_rest():
@@ -690,11 +770,14 @@ def test_shrink_evicts_newest_over_a_member_at_its_coordinates():
     state = ResponsibilitySet(2, make_params(1.0), "es")
     state.expand((0.0, 0.0))
     state.expand((0.3, 0.0))
-    state.expand((0.3, 0.0))
+    p = np.array([0.3, 0.0])
+    slots, w = state._weights_to(p)
     # make the older copy the strict maximum, as rounding noise can
-    state.rsp[1] = np.nextafter(state.rsp[2], np.inf)
-    assert not state.shrink()
-    assert state.n == 2 and state.order[1] == 1
+    state.rsp[1] += 1e-12
+    assert state.rsp[1] + w[1] > w.sum()
+    before = _state_record(state)
+    assert not state.shrink(p, 2, slots, w)
+    assert _state_record(state) == before
 
 
 @pytest.mark.parametrize(

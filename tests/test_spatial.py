@@ -53,11 +53,12 @@ def test_remove_then_queries():
     assert idx.d2.tolist() == [18.0]
 
 
-def test_relabel_keeps_query_order():
+def test_overwritten_row_goes_to_the_end_of_its_cell():
     idx = grid_over(1.0, {i: (0.5, 0.1 * i) for i in (1, 2, 3)})
-    idx.pts[7] = idx.pts[1]
-    idx.relabel(1, 7)
-    assert idx.within_radius((0.5, 0.2), 0.15).tolist() == [7, 2, 3]
+    idx.remove(1)
+    idx.pts[1] = (0.5, 0.25)
+    idx.insert(1)
+    assert idx.within_radius((0.5, 0.2), 0.15).tolist() == [2, 3, 1]
 
 
 def test_within_radius_empty_and_boundary():
@@ -118,14 +119,13 @@ def test_random_workload_matches_linear_scan(cell):
             del live[victim], seq[victim]
             free.append(victim)
         elif op < 0.75:
-            old = int(rng.choice(list(live)))
-            new = free.pop(int(rng.integers(len(free))))
-            pts[new] = pts[old]
-            idx.relabel(old, new)
-            pts[old] = np.nan
-            live[new] = live.pop(old)
-            seq[new] = seq.pop(old)
-            free.append(old)
+            # overwrite a live row in place: remove it first, insert it after
+            i = int(rng.choice(list(live)))
+            idx.remove(i)
+            pts[i] = rng.uniform(-5, 5, size=2)
+            idx.insert(i)
+            live[i] = tuple(pts[i])
+            seq[i] = t
         else:
             q = tuple(rng.uniform(-6, 6, size=2))
             r = float(rng.uniform(0, 4))
