@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Sample
-from .errors import EmptyDatasetError, ExtentRangeError, InsufficientDataError, KTooLargeError
-from .geometry import bounding_box
+from .errors import ExtentRangeError, InsufficientDataError
+from .geometry import as_dataset, bounding_box
 
 
 @dataclass
@@ -33,15 +33,10 @@ def reservoir_sample(data: np.ndarray, k: int, seed: int = 0) -> Sample:
     """Uniform K-subset by single-pass reservoir; K > N is a ``KTooLargeError``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    data = np.asarray(data, dtype=float).reshape(-1, 2)
-    n = len(data)
-    if n == 0:
-        raise EmptyDatasetError("cannot sample an empty dataset")
-    if k > n:
-        raise KTooLargeError(f"k={k} exceeds dataset size {n}")
+    data = as_dataset(data, k)
     rng = np.random.default_rng(seed)
     # row i >= k draws its slot from [0, i]: one draw per row, in row order
-    slots = np.concatenate([np.arange(k), rng.integers(0, np.arange(k + 1, n + 1))])
+    slots = np.concatenate([np.arange(k), rng.integers(0, np.arange(k + 1, len(data) + 1))])
     idx = _last_writes(slots, k)
     return Sample(data[idx], idx)
 
@@ -80,12 +75,7 @@ def balanced_allocation(bin_counts, k: int) -> list[int]:
 
 def stratified_sample(data: np.ndarray, cfg: StratifiedConfig) -> Sample:
     """Two-pass stratified sample over a g-by-g grid of the bounding box."""
-    data = np.asarray(data, dtype=float).reshape(-1, 2)
-    n = len(data)
-    if n == 0:
-        raise EmptyDatasetError("cannot sample an empty dataset")
-    if cfg.k > n:
-        raise KTooLargeError(f"k={cfg.k} exceeds dataset size {n}")
+    data = as_dataset(data, cfg.k)
     g = cfg.grid_cells_per_axis
     lo, hi = bounding_box(data)
     with np.errstate(over="ignore"):

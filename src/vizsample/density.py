@@ -10,14 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySampleError
-from .geometry import bounding_box
+from .geometry import as_points, bounding_box
 from .spatial import GridIndex
 
 
 def attach_counts(sample_points: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Count, for each sample point, the dataset points it is nearest to."""
-    sample = np.ascontiguousarray(sample_points, dtype=float).reshape(-1, 2)
-    data = np.asarray(data, dtype=float).reshape(-1, 2)
+    sample, data = as_points(sample_points, "sample"), as_points(data, "data")
     k = len(sample)
     if k == 0:
         raise EmptySampleError("cannot attach counts to an empty sample")

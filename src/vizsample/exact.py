@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, InsufficientDataError, KTooLargeError, NoEdgesError
-from .geometry import KernelParams, gauss, sq_distances
+from .geometry import KernelParams, as_points, gauss, sq_distances
 
 DEFAULT_SUBSET_BUDGET = 10**7
 MAX_WEIGHT_CELLS = 2**24  # of a weights_from_points matrix, 128 MiB (n <= 4096)
@@ -69,7 +69,7 @@ class WeightedGraph:
 @np.errstate(over="ignore")  # huge coordinates: an inf squared distance weighs 0
 def weights_from_points(points: np.ndarray, params: KernelParams) -> WeightMatrix:
     """Pairwise kappa_tilde matrix of a point set, of at most ``MAX_WEIGHT_CELLS`` cells."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = as_points(points, "points")
     if len(pts) < 2:
         raise InsufficientDataError(f"need at least 2 points, got {len(pts)}")
     if len(pts) ** 2 > MAX_WEIGHT_CELLS:
@@ -130,29 +130,22 @@ def reduce_mes_to_vas(g: WeightedGraph, k: int) -> WeightMatrix:
 
 
 def solve_mes_brute(g: WeightedGraph, k: int) -> tuple[tuple[int, ...], float]:
-    """Exhaustive K-vertex subset maximizing induced edge weight."""
+    """Exhaustive K-vertex subset maximizing ``induced_edge_weight``.
+
+    Ties keep the first maximal subset in the enumeration order of
+    ``itertools.combinations`` (the lexicographically smallest index tuple).
+    """
     if not g.edges:
         raise NoEdgesError("graph has no edges")
     check_budget(g.vertex_count, k)
-    adj = {}
-    for u, v, w in g.edges:
-        adj[(min(u, v), max(u, v))] = w
-    best: tuple[int, ...] | None = None
-    best_w = -math.inf
-    for subset in combinations(range(g.vertex_count), k):
-        total = 0.0
-        for a, b in combinations(subset, 2):
-            total += adj.get((a, b), 0.0)
-        if total > best_w:
-            best_w = total
-            best = subset
-    return best, best_w
+    best = max(combinations(range(g.vertex_count), k), key=lambda subset: induced_edge_weight(g, subset))
+    return best, induced_edge_weight(g, best)
 
 
 def induced_edge_weight(g: WeightedGraph, subset) -> float:
-    """Total edge weight induced by a vertex subset."""
+    """Total edge weight induced by a vertex subset, summed in edge order."""
     members = set(subset)
-    return sum(w for u, v, w in g.edges if u in members and v in members)
+    return sum((w for u, v, w in g.edges if u in members and v in members), 0.0)
 
 
 def export_mip_lp(wm: WeightMatrix, k: int, path) -> None:
@@ -169,25 +162,17 @@ def export_mip_lp(wm: WeightMatrix, k: int, path) -> None:
         raise ValueError(f"k={k} must be >= 1")
     if k > n:
         raise KTooLargeError(f"k={k} exceeds dataset size {n}")
+    pairs = list(combinations(range(1, n + 1), 2))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("Minimize\n")
-        terms = [
-            f"+ {format(wm.w[i - 1, j - 1], '.17g')} b{i}_{j}"
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        ]
-        fh.write(" obj: " + " ".join(terms) + "\n")
+        fh.write(" obj: " + " ".join(f"+ {format(wm.w[i - 1, j - 1], '.17g')} b{i}_{j}" for i, j in pairs) + "\n")
         fh.write("Subject To\n")
         fh.write(" card: " + " + ".join(f"a{i}" for i in range(1, n + 1)) + f" = {k}\n")
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                fh.write(f" c{i}_{j}_1: b{i}_{j} - a{i} <= 0\n")
-                fh.write(f" c{i}_{j}_2: b{i}_{j} - a{j} <= 0\n")
-                fh.write(f" c{i}_{j}_3: b{i}_{j} - a{i} - a{j} >= -1\n")
+        for i, j in pairs:
+            fh.write(f" c{i}_{j}_1: b{i}_{j} - a{i} <= 0\n")
+            fh.write(f" c{i}_{j}_2: b{i}_{j} - a{j} <= 0\n")
+            fh.write(f" c{i}_{j}_3: b{i}_{j} - a{i} - a{j} >= -1\n")
         fh.write("Binary\n")
-        for i in range(1, n + 1):
-            fh.write(f" a{i}\n")
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                fh.write(f" b{i}_{j}\n")
+        fh.writelines(f" a{i}\n" for i in range(1, n + 1))
+        fh.writelines(f" b{i}_{j}\n" for i, j in pairs)
         fh.write("End\n")

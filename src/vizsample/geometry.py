@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtentRangeError, ZeroExtentError
+from .errors import EmptyDatasetError, ExtentRangeError, KTooLargeError, NonFiniteInputError, ZeroExtentError
 
 # Distance (in units of epsilon) beyond which pair weights are treated as
 # zero by locality-accelerated paths.  kappa at 4*eps is ~1.12e-7 and
@@ -156,20 +156,47 @@ def kernel_blocks(
         yield s, w
 
 
+def as_points(points, what: str) -> np.ndarray:
+    """``points`` as a C-contiguous (n, 2) float64 array, the one check of a
+    point array at every public entry that takes one.  An empty input of any
+    shape is (0, 2); another shape raises ``ValueError``, and a NaN or
+    infinite coordinate ``NonFiniteInputError``, both naming ``what``."""
+    pts = np.ascontiguousarray(points, dtype=float)
+    if not pts.size:
+        return pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"{what} must be an (n, 2) array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise NonFiniteInputError(f"{what} contains NaN or infinite coordinates")
+    return pts
+
+
+def as_dataset(data, k: int) -> np.ndarray:
+    """``as_points(data, "dataset")`` for a sampler of ``k`` points: an empty
+    dataset raises ``EmptyDatasetError``, one of fewer than ``k`` rows
+    ``KTooLargeError``."""
+    pts = as_points(data, "dataset")
+    if not len(pts):
+        raise EmptyDatasetError("cannot sample an empty dataset")
+    if k > len(pts):
+        raise KTooLargeError(f"k={k} exceeds dataset size {len(pts)}")
+    return pts
+
+
 @np.errstate(over="ignore")  # huge coordinates: an inf squared distance weighs 0
-def _one_pair(a, b, inv: float) -> float:
-    d2 = sq_distances(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return float(gauss(d2, inv)[0])
+def _one_pair(a, b, inv: float, names) -> float:
+    a, b = (as_points(np.reshape(p, (1, 2)), what) for p, what in zip((a, b), names))
+    return float(gauss(sq_distances(a[0], b), inv)[0])
 
 
 def kappa(x, s, params: KernelParams) -> float:
     """Proximity exp(-d^2/eps^2) between plot location ``x`` and point ``s``."""
-    return _one_pair(x, s, params.inv_eps2)
+    return _one_pair(x, s, params.inv_eps2, ("x", "s"))
 
 
 def kappa_tilde(a, b, params: KernelParams) -> float:
     """Pair weight exp(-d^2/(2 eps^2)) between two sample points."""
-    return _one_pair(a, b, params.inv_2eps2)
+    return _one_pair(a, b, params.inv_2eps2, ("a", "b"))
 
 
 def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +213,7 @@ def default_epsilon(points: np.ndarray) -> KernelParams:
     and avoids the O(n^2) exact computation.  Raises ``ZeroExtentError`` when
     all points coincide, ``ExtentRangeError`` when eps has no finite 1/eps^2.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = as_points(points, "points")
     if len(pts) < 2:
         raise ZeroExtentError("need at least 2 points to derive a bandwidth")
     lo, hi = bounding_box(pts)

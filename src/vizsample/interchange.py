@@ -43,8 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataio import Sample
-from .errors import EmptyDatasetError, KTooLargeError, NonFiniteInputError
-from .geometry import KernelParams, bounding_box, gauss, sq_distances
+from .geometry import KernelParams, as_dataset, bounding_box, gauss, sq_distances
 from .quality import pair_sums, surrogate_objective
 from .spatial import GridIndex
 
@@ -313,14 +312,8 @@ def run_interchange(
     every step or block.  A traced run appends the exact objective once per
     streamed candidate.
     """
-    data = np.asarray(data, dtype=float).reshape(-1, 2)
+    data = as_dataset(data, cfg.k)
     n = len(data)
-    if n == 0:
-        raise EmptyDatasetError("cannot sample an empty dataset")
-    if not np.isfinite(data).all():
-        raise NonFiniteInputError("dataset contains NaN or infinite coordinates")
-    if cfg.k > n:
-        raise KTooLargeError(f"k={cfg.k} exceeds dataset size {n}")
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)

@@ -16,6 +16,8 @@ wide, for the objective (skipping pairs below e**-50) and the optimizer's
 ``recompute``; ``submodular_f`` walks every pair.  The point losses walk grid
 windows (``GridIndex.scan``) that skip only points below e**-40 times a row's
 largest weight, so a sum over n points loses at most n * e**-40 of itself.
+Every point array goes through ``geometry.as_points``: NaN or infinite
+coordinates raise ``NonFiniteInputError``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainRejectionError, EmptySampleError, ExtentRangeError, LossRangeError, NonFiniteInputError
-from .geometry import BLOCK_CELLS, EXP_FLOOR, KernelParams, bounding_box, gauss, kernel_blocks, sq_distances
+from .errors import DomainRejectionError, EmptySampleError, ExtentRangeError, LossRangeError
+from .geometry import BLOCK_CELLS, EXP_FLOOR, KernelParams, as_points, bounding_box, gauss, kernel_blocks, sq_distances
 from .spatial import GridIndex
 
 _ACCEPT_FLOOR = 1e-6
@@ -60,7 +62,7 @@ def surrogate_objective(points: np.ndarray, params: KernelParams) -> float:
     walk reaches as far as the bound calls for (at most past ``EXP_FLOOR``),
     so the result is the dense pair sum to within 2**-52 of itself, besides
     summation order."""
-    pts = _finite(points, "sample")
+    pts = as_points(points, "sample")
     if len(pts) < 1:
         raise EmptySampleError("objective of an empty sample")
     inv, pairs = params.inv_2eps2, len(pts) * (len(pts) - 1) / 2
@@ -124,7 +126,7 @@ def pair_sums(pts: np.ndarray, inv: float, reach: float, cutoff2: float | None =
 def point_loss(x, sample_points: np.ndarray, params: KernelParams) -> float:
     """Quality degradation 1 / sum_i kappa(x, s_i), summed as ``point_losses``
     sums it; inf when every kappa(x, s_i) is below e**-700 (``EXP_FLOOR``)."""
-    return float(point_losses(np.asarray(x, dtype=float).reshape(1, 2), sample_points, params)[0])
+    return float(point_losses(np.reshape(x, (1, 2)), sample_points, params)[0])
 
 
 @np.errstate(over="ignore", divide="ignore")  # a vanishing sum maps to the +inf loss sentinel
@@ -136,10 +138,10 @@ def point_losses(xs: np.ndarray, sample_points: np.ndarray, params: KernelParams
     below e**-40 times its largest weight, or 0 (past the e**-700 reach), so
     a sum loses at most n * e**-40 of itself.  Cells of sqrt(45) eps settle
     the rows with a point within sqrt(5) eps in their first window."""
-    S = _finite(sample_points, "sample")
+    S = as_points(sample_points, "sample")
     if len(S) < 1:
         raise EmptySampleError("point loss against an empty sample")
-    xs, inv = _finite(xs, "plot locations"), params.inv_eps2
+    xs, inv = as_points(xs, "plot locations"), params.inv_eps2
     sums = np.empty(len(xs))
 
     def visit(rows, ids, far2, d2, w, keep):
@@ -151,13 +153,6 @@ def point_losses(xs: np.ndarray, sample_points: np.ndarray, params: KernelParams
     return 1.0 / sums
 
 
-def _finite(points, what: str) -> np.ndarray:
-    pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
-    if not np.isfinite(pts).all():
-        raise NonFiniteInputError(f"{what} contains NaN or infinite coordinates")
-    return pts
-
-
 def draw_domain_points(data: np.ndarray, n_points: int, seed: int, domain_radius: float) -> np.ndarray:
     """Seeded uniform points in the data bounding box, kept only when within
     ``domain_radius`` of some dataset point, until ``n_points`` are accepted.
@@ -167,7 +162,7 @@ def draw_domain_points(data: np.ndarray, n_points: int, seed: int, domain_radius
     (at most 2**16 points): the same draws, in one membership query each."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    data = np.ascontiguousarray(data, dtype=float).reshape(-1, 2)
+    data = as_points(data, "data")
     lo, hi = bounding_box(data)
     with np.errstate(over="ignore"):
         if not np.isfinite(hi - lo).all():
@@ -283,7 +278,7 @@ def evaluate(
 def submodular_f(points: np.ndarray, params: KernelParams) -> float:
     """Pair sum of (1 - kappa_tilde); complements the surrogate objective:
     f(S) + objective(S) = |S|(|S|-1)/2."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = as_points(points, "points")
     blocks = kernel_blocks(pts, pts, params.inv_2eps2, upper=True)
     return float(sum(np.triu(1.0 - w, s.start + 1).sum() for s, w in blocks))
 
@@ -291,8 +286,8 @@ def submodular_f(points: np.ndarray, params: KernelParams) -> float:
 @np.errstate(over="ignore")  # huge coordinates: an inf squared distance weighs 0
 def marginal_gain(points: np.ndarray, x, params: KernelParams) -> float:
     """Closed-form f(S + {x}) - f(S) = sum_i (1 - kappa_tilde(x, s_i))."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    w = gauss(sq_distances(np.asarray(x, dtype=float), pts), params.inv_2eps2)
+    pts, x = as_points(points, "points"), as_points(np.reshape(x, (1, 2)), "x")
+    w = gauss(sq_distances(x[0], pts), params.inv_2eps2)
     return float((1.0 - w).sum())
 
 

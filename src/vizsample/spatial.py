@@ -25,7 +25,8 @@ scan's (see the tests).  Closed balls: squared distance <= r*r; nearest ties
 go to the smallest id.  Besides the mutations, ``within_radius`` writes
 state: it leaves its distances in ``d2``, so two concurrent lookups overwrite
 each other's.  The batched queries write none, and may run together between
-mutations.
+mutations.  They check their queries with ``geometry.as_points``; the
+optimizer's per-candidate calls read rows that ``run_interchange`` checked.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import EmptyIndexError
-from .geometry import pair_blocks
+from .geometry import as_points, pair_blocks
 
 # Most cells a side of the box: the cell arrays then stay under 1.6 MB.
 GRID_SIDE = 256
@@ -143,7 +144,7 @@ class GridIndex:
         numpy; the rest are scanned over their ``windows``."""
         if r < 0:
             raise ValueError("radius must be non-negative")
-        qs = _queries(centers)
+        qs = as_points(centers, "queries")
         hit = np.zeros(len(qs), dtype=bool)
         f = self._clamped(qs) - self._lo
         cells = np.floor(f)
@@ -171,7 +172,7 @@ class GridIndex:
         the rows whose best squared distance beats every point outside."""
         if not self.starts[-1]:
             raise EmptyIndexError("nearest_neighbor on an empty index")
-        qs = _queries(queries)
+        qs = as_points(queries, "queries")
         out, no_id = np.empty(len(qs), dtype=np.int64), len(self.pts)
 
         def visit(rows, ids, far2, d2, *_):
@@ -228,12 +229,3 @@ class GridIndex:
 def _at(u: float, lo: int, hi: int) -> int:
     """Column (or row) of grid coordinate u, clamped into the edge cells lo..hi."""
     return math.floor(lo if u < lo else hi if u > hi else u) - lo  # min/max: 2x slower
-
-
-def _queries(q) -> np.ndarray:
-    """Queries as an (m, 2) float array of finite coordinates."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 2 or not np.isfinite(q).all():
-        raise ValueError(f"queries must be an (m, 2) array of finite coordinates, got {q.shape}")
-    return q
-

@@ -212,6 +212,11 @@ def test_exp_is_called_only_in_gauss():
     assert package_calls("exp", "expm1", "exp2") == [("geometry.py", "gauss")]
 
 
+def test_non_finite_points_are_rejected_only_in_as_points():
+    # one input check: every point array a public entry takes goes through as_points
+    assert package_calls("NonFiniteInputError") == [("geometry.py", "as_points")]
+
+
 @pytest.mark.parametrize("cutoff", [None, 0.7, 40.0])
 @pytest.mark.parametrize("upper", [False, True])
 def test_kernel_blocks_match_gauss_per_block(monkeypatch, cutoff, upper):

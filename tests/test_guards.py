@@ -1,13 +1,18 @@
 """Every argument guard raises its exception, with its own message."""
 
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vizsample import quality
 from vizsample.baselines import StratifiedConfig, balanced_allocation, reservoir_sample, stratified_sample
-from vizsample.errors import EmptyDatasetError, NoEdgesError, ZeroExtentError
+from vizsample.density import attach_counts
+from vizsample.errors import EmptyDatasetError, NoEdgesError, NonFiniteInputError, ZeroExtentError
 from vizsample.exact import (
     WeightedGraph,
     WeightMatrix,
@@ -15,9 +20,10 @@ from vizsample.exact import (
     export_mip_lp,
     reduce_mes_to_vas,
     solve_mes_brute,
+    weights_from_points,
 )
-from vizsample.geometry import default_epsilon, make_params
-from vizsample.interchange import InterchangeConfig, ResponsibilitySet
+from vizsample.geometry import default_epsilon, kappa, kappa_tilde, make_params
+from vizsample.interchange import InterchangeConfig, ResponsibilitySet, run_interchange
 from vizsample.spatial import GridIndex
 
 UNIT = make_params(1.0)
@@ -81,3 +87,56 @@ def test_guard_raises(case):
     call, error, message = GUARDS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+# Every public entry that takes points: a call of its point arguments, and
+# each argument's name in the error and whether it is one point.
+POINT_ENTRIES = {
+    "surrogate_objective": (lambda s: quality.surrogate_objective(s, UNIT), [("sample", False)]),
+    "point_losses": (lambda xs, s: quality.point_losses(xs, s, UNIT), [("plot locations", False), ("sample", False)]),
+    "point_loss": (lambda x, s: quality.point_loss(x, s, UNIT), [("plot locations", True), ("sample", False)]),
+    "mc_loss": (lambda s, d: quality.mc_loss(s, d, UNIT, n_points=20), [("sample", False), ("data", False)]),
+    "log_loss_ratio": (
+        lambda s, d: quality.log_loss_ratio(s, d, UNIT, n_points=20),
+        [("sample", False), ("data", False)],
+    ),
+    "evaluate": (lambda s, d: quality.evaluate(s, d, UNIT, n_points=20), [("sample", False), ("data", False)]),
+    "draw_domain_points": (lambda d: quality.draw_domain_points(d, 20, 0, 10.0), [("data", False)]),
+    "attach_counts": (attach_counts, [("sample", False), ("data", False)]),
+    "default_epsilon": (default_epsilon, [("points", False)]),
+    "weights_from_points": (lambda p: weights_from_points(p, UNIT), [("points", False)]),
+    "submodular_f": (lambda p: quality.submodular_f(p, UNIT), [("points", False)]),
+    "marginal_gain": (lambda p, x: quality.marginal_gain(p, x, UNIT), [("points", False), ("x", True)]),
+    "any_within_radius": (lambda q: GridIndex(1.0, POINTS).any_within_radius(q, 1.0), [("queries", False)]),
+    "nearest_neighbor": (lambda q: GridIndex(1.0, POINTS).nearest_neighbor(q), [("queries", False)]),
+    "kappa": (lambda x, s: kappa(x, s, UNIT), [("x", True), ("s", True)]),
+    "kappa_tilde": (lambda a, b: kappa_tilde(a, b, UNIT), [("a", True), ("b", True)]),
+    "run_interchange": (lambda d: run_interchange(d, InterchangeConfig(k=1), UNIT), [("dataset", False)]),
+    "reservoir_sample": (lambda d: reservoir_sample(d, 1), [("dataset", False)]),
+    "stratified_sample": (lambda d: stratified_sample(d, StratifiedConfig(2, 1)), [("dataset", False)]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(POINT_ENTRIES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_point_entries_reject_non_finite_and_misshapen_points(entry, data):
+    call, args = POINT_ENTRIES[entry]
+
+    def run(rows):  # a single point is passed as its (2,) row
+        return call(*(r[0] if one else r for r, (_, one) in zip(rows, args)))
+
+    n = data.draw(st.integers(2, 12))
+    pts = [data.draw(arrays(float, (1 if one else n, 2), elements=st.floats(0, 10))) for _, one in args]
+    i = data.draw(st.integers(0, len(args) - 1))
+    what, one = args[i]
+    bad = [p.copy() for p in pts]
+    row, col = data.draw(st.integers(0, len(bad[i]) - 1)), data.draw(st.integers(0, 1))
+    bad[i][row, col] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    with pytest.raises(NonFiniteInputError, match=what):
+        run(bad)
+    wide = list(pts)
+    wide[i] = np.hstack((pts[i], pts[i][:, :1]))
+    with pytest.raises(ValueError, match=None if one else what):
+        run(wide)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vizsample.errors import EmptyIndexError
+from vizsample.errors import EmptyIndexError, NonFiniteInputError
 from vizsample.spatial import GridIndex
 
 
@@ -247,7 +247,7 @@ def test_batched_queries_use_live_ids_only():
     assert idx.any_within_radius(qs, 1.0).tolist() == [True, False, False]
     assert idx.nearest_neighbor(np.empty((0, 2))).tolist() == []
     assert idx.any_within_radius(np.empty((0, 2)), 1.0).tolist() == []
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteInputError, match="queries"):
         idx.nearest_neighbor([[np.nan, 0.0]])
     with pytest.raises(ValueError):  # one point is a (1, 2) array
         idx.nearest_neighbor([0.0, 0.0])
